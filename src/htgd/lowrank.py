@@ -3,7 +3,9 @@
 Small lifted matrices (n <= _DENSE_LIMIT) go through a full dense SVD;
 larger ones use a seeded randomized range finder whose products run
 through the FFT fast paths, so no n x n matrix is ever formed.  Both
-paths are deterministic for a fixed seed.
+paths are deterministic for a fixed seed.  The range finder also takes
+L stacked channels, which is how ``retrieval.esprit`` reduces the
+n x nL matrix of channel lifts.
 
 The Takagi factorisation A = U diag(s) U^T of a complex symmetric A is
 recovered from the SVD A = Us diag(s) V^H by the per-column phase
@@ -35,12 +37,6 @@ def truncated_svd(M: np.ndarray, K: int) -> tuple:
     return U[:, :K], s[:K], Vh[:K].conj().T
 
 
-def _lift_matvec(v: np.ndarray):
-    def mm(X):
-        return ops.fast_lift_mul("hankel", v, X)
-    return mm
-
-
 def _range_finder_rng(seed):
     """Deterministic generator from an int seed or a tuple of ints."""
     if not isinstance(seed, (tuple, list)):
@@ -49,21 +45,33 @@ def _range_finder_rng(seed):
     return make_rng(np.random.SeedSequence(words + (0x5F4D,)))
 
 
-def _randomized_lift_svd(v: np.ndarray, K: int, seed) -> tuple:
-    """Truncated SVD of g_apply(v) via a randomized range finder.
+def randomized_lift_svd(v: np.ndarray, K: int, seed) -> tuple:
+    """Truncated SVD of E = [g_apply(v_1), ..., g_apply(v_L)] via a randomized range finder.
 
-    Uses that the lifted matrix M is complex symmetric: M^H X = conj(M conj(X)).
+    ``v`` is one vector (N,) or L stacked channels (L, N); E is n x nL and
+    the right factor comes back stacked the same way, (nL, K).  Every
+    product runs through ``ops.fast_lift_mul``, using that each block M_l
+    is complex symmetric: E^H X = [conj(M_l conj(X))]_l.  A (N,) call and
+    a (1, N) call return bit-identical arrays.
     """
-    n = (v.shape[-1] + 1) // 2
-    mm = _lift_matvec(v)
+    v = np.atleast_2d(v)
+    L, N = v.shape
+    n = (N + 1) // 2
     r = min(n, K + _OVERSAMPLE)
+
+    def blocks(X):  # [M_l X_l]_l for X (L, n, c), or [M_l X]_l for X (n, c)
+        return ops.fast_lift_mul("hankel", v, X)
+
+    def adjoint(Q):  # E^H Q, stacked (nL, c)
+        return np.conj(blocks(Q.conj())).reshape(L * n, -1)
+
     rng = _range_finder_rng(seed)
-    probe = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
-    Q, _ = np.linalg.qr(mm(probe))
+    probe = rng.standard_normal((L, n, r)) + 1j * rng.standard_normal((L, n, r))
+    Q, _ = np.linalg.qr(blocks(probe).sum(axis=0))
     for _ in range(_POWER_ITERS):
-        Z, _ = np.linalg.qr(np.conj(mm(Q.conj())))
-        Q, _ = np.linalg.qr(mm(Z))
-    B = mm(Q.conj()).T  # equals Q^H M
+        Z, _ = np.linalg.qr(adjoint(Q))
+        Q, _ = np.linalg.qr(blocks(Z.reshape(L, n, r)).sum(axis=0))
+    B = blocks(Q.conj()).reshape(L * n, r).T  # Q^H E = (E^T conj(Q))^T, r x nL
     Ub, s, Vh = np.linalg.svd(B, full_matrices=False)
     U = Q @ Ub
     return U[:, :K], s[:K], Vh[:K].conj().T
@@ -76,7 +84,7 @@ def lift_truncated_svd(v: np.ndarray, K: int, seed=0) -> tuple:
         raise ValueError(f"rank K={K} exceeds matrix size n={n}")
     if n <= _DENSE_LIMIT:
         return truncated_svd(ops.g_apply(v), K)
-    return _randomized_lift_svd(v, K, seed)
+    return randomized_lift_svd(v, K, seed)
 
 
 def _cluster_slices(s: np.ndarray) -> list:
@@ -146,7 +154,7 @@ def takagi_lift_truncated(v: np.ndarray, K: int, seed=0) -> tuple:
     n = (v.shape[-1] + 1) // 2
     if n <= _DENSE_LIMIT:
         return takagi_truncated(ops.g_apply(v), K)
-    U, s, V = _randomized_lift_svd(v, K, seed)
+    U, s, V = randomized_lift_svd(v, K, seed)
     U, used_block = _takagi_phase_correct(U, s, V, K)
     if used_block:
         warnings.warn("clustered singular values: used block phase correction",

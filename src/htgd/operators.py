@@ -225,12 +225,3 @@ def fast_adjoint_lowrank(kind: str, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """
     return _adjoint_lowrank(_check_kind(kind), np.asarray(A), np.asarray(B))
 
-
-def lowrank_frob_sq(A: np.ndarray, B: np.ndarray) -> float | np.ndarray:
-    """Squared Frobenius norm of A B^H via trace((A^H A)(B^H B)); O(n K^2)."""
-    A = np.asarray(A)
-    B = np.asarray(B)
-    GA = np.swapaxes(A, -2, -1).conj() @ A
-    GB = np.swapaxes(B, -2, -1).conj() @ B
-    out = np.sum(GA * np.swapaxes(GB, -2, -1), axis=(-2, -1)).real
-    return float(out) if out.ndim == 0 else out

@@ -8,7 +8,8 @@ from itertools import permutations
 import numpy as np
 
 from . import operators as ops
-from .errors import RankDeficientError
+from .errors import NumericalError, RankDeficientError
+from .lowrank import randomized_lift_svd
 
 _RANK_RTOL = 1e-12
 _EXHAUSTIVE_LIMIT = 8
@@ -31,26 +32,38 @@ def _signal_array(x) -> np.ndarray:
 def esprit(x, K: int) -> FrequencyEstimate:
     """Rotational-invariance frequency estimates from the stacked channel lifts.
 
-    The n x nL matrix [H x_1, ..., H x_L] is reduced to its K dominant
-    left singular vectors U_s; the shift equation U_s[:-1] Psi = U_s[1:]
-    is solved in the least-squares sense and frequencies are read off the
-    eigenvalue phases of Psi.  Estimates are invariant to a global complex
-    scaling of ``x``.
+    The K dominant left singular vectors U_s of E = [H x_1, ..., H x_L]
+    (n x nL) come from the seeded randomized range finder of
+    ``lowrank.randomized_lift_svd``: r = K + 8 probe columns (at most n)
+    and two power iterations, every product with E or E^H taken through
+    ``operators.fast_lift_mul`` via H x_l = G(omega * x_l).  The shift
+    equation U_s[:-1] Psi = U_s[1:] is solved in the least-squares sense
+    and frequencies are read off the eigenvalue phases of Psi.
+
+    Cost is O(L r N log N) plus QR of n x r and nL x r blocks, the SVD of
+    the r x nL matrix Q^H E and a K x K eigenproblem; no n x n or n x nL
+    matrix is formed.  The probe comes from a fixed seed, so a given
+    input always gives the same estimates.  Even-length input drops its
+    last sample.  Estimates are invariant to a global complex scaling of
+    ``x``.  Raises ``NumericalError`` on non-finite input and
+    ``RankDeficientError`` when sigma_K / sigma_1 of E falls below
+    ``_RANK_RTOL``.
     """
     data = _signal_array(x)
     if data.shape[0] % 2 == 0:
         data = data[:-1]  # odd prefix carries the same sinusoids
-    N, L = data.shape
+    N = data.shape[0]
     n = (N + 1) // 2
     if not 1 <= K < n:
         raise ValueError(f"need 1 <= K < n={n}, got K={K}")
-    E = np.concatenate([ops.hankel_lift(data[:, l]) for l in range(L)], axis=1)
-    U, s, _ = np.linalg.svd(E, full_matrices=False)
+    if not np.all(np.isfinite(data)):
+        raise NumericalError("signal contains NaN or inf; cannot estimate frequencies")
+    v = data.T * ops.weight_vector(N).omega  # G(omega x_l) = H x_l
+    Us, s, _ = randomized_lift_svd(v, K, seed=0)
     if s[0] == 0.0 or s[K - 1] / s[0] < _RANK_RTOL:
         raise RankDeficientError(
             f"lifted signal has numerical rank below K={K} (sigma ratio {0.0 if s[0] == 0 else s[K - 1] / s[0]:.2e})"
         )
-    Us = U[:, :K]
     Psi, *_ = np.linalg.lstsq(Us[:-1], Us[1:], rcond=None)
     lam = np.linalg.eigvals(Psi)
     freqs = np.sort(np.mod(-np.angle(lam) / (2.0 * np.pi), 1.0))

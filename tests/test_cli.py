@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from htgd.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from htgd.mhtgd import solve_mhtgd
 
 
 def run_cli(*argv):
@@ -75,6 +77,23 @@ def test_solve_respects_solver_flags(tmp_path):
                    "-K", 2, "--max-iter", 2, "--tol", "1e-14", "--out", sol)
     assert code == EXIT_OK
     assert json.loads((sol / "report.json").read_text())["iterations"] == 2
+
+
+def test_solve_freqs_on_diverged_solve_is_numerical_error(tmp_path, monkeypatch, capsys):
+    def diverged(*args, **kwargs):
+        report = solve_mhtgd(*args, **kwargs)
+        x_hat = report.x_hat.copy()
+        x_hat[3, 0] = np.nan
+        return dataclasses.replace(report, x_hat=x_hat)
+
+    monkeypatch.setattr("htgd.cli.solve_mhtgd", diverged)
+    out = synth_dir(tmp_path, N=33, M=33)
+    sol = tmp_path / "sol"
+    code = run_cli("solve", "--observed", out / "observed.csv", "--mask", out / "mask.json",
+                   "-K", 2, "--freqs", "--out", sol)
+    assert code == EXIT_NUMERICAL
+    assert not (sol / "freqs.json").exists()
+    assert "NaN or inf" in capsys.readouterr().err
 
 
 def test_solve_unknown_method_is_usage_error(tmp_path):

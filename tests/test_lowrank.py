@@ -3,7 +3,7 @@ import pytest
 
 import htgd.operators as ops
 from htgd.lowrank import (
-    _randomized_lift_svd,
+    randomized_lift_svd,
     lift_truncated_svd,
     takagi_lift_truncated,
     takagi_truncated,
@@ -55,19 +55,45 @@ def test_randomized_path_matches_dense_on_exact_rank(K):
     n = 48
     v = weighted_sinusoid_mix(n, K, seed=5)
     Ud, sd, Vd = truncated_svd(ops.g_apply(v), K)
-    Ur, sr, Vr = _randomized_lift_svd(v, K, seed=0)
+    Ur, sr, Vr = randomized_lift_svd(v, K, seed=0)
     np.testing.assert_allclose(sr, sd, rtol=1e-9)
     np.testing.assert_allclose((Ur * sr) @ Vr.conj().T, ops.g_apply(v), atol=1e-8 * sd[0])
 
 
 def test_randomized_path_deterministic_and_tuple_seeded():
     v = weighted_sinusoid_mix(32, 2, seed=9)
-    a = _randomized_lift_svd(v, 2, seed=(7, 3))
-    b = _randomized_lift_svd(v, 2, seed=(7, 3))
+    a = randomized_lift_svd(v, 2, seed=(7, 3))
+    b = randomized_lift_svd(v, 2, seed=(7, 3))
     for x, y in zip(a, b):
         np.testing.assert_array_equal(x, y)
-    c = _randomized_lift_svd(v, 2, seed=(7, 4))
+    c = randomized_lift_svd(v, 2, seed=(7, 4))
     assert not np.array_equal(a[0], c[0])
+
+
+@pytest.mark.parametrize("n", [5, 48, 400])
+def test_randomized_single_channel_matches_stacked_call(n):
+    v = weighted_sinusoid_mix(n, 2, seed=n)
+    a = randomized_lift_svd(v, 2, seed=(3, 1))
+    b = randomized_lift_svd(v[None], 2, seed=(3, 1))
+    for x, y in zip(a, b):
+        assert x.shape == y.shape
+        np.testing.assert_array_equal(x, y)
+
+
+def test_randomized_path_stacks_channels():
+    n, K, L = 40, 3, 3
+    N = 2 * n - 1
+    rng = make_rng(6)
+    freqs = rng.uniform(0, 1, K)
+    coef = rng.standard_normal((K, L)) + 1j * rng.standard_normal((K, L))
+    x = np.exp(-2j * np.pi * np.outer(np.arange(N), freqs)) @ coef
+    v = x.T * ops.weight_vector(N).omega
+    E = np.concatenate([ops.g_apply(v[l]) for l in range(L)], axis=1)
+    Ud, sd, _ = truncated_svd(E, K)
+    U, s, V = randomized_lift_svd(v, K, seed=0)
+    assert U.shape == (n, K) and V.shape == (n * L, K)
+    np.testing.assert_allclose(s, sd, rtol=1e-9)
+    np.testing.assert_allclose((U * s) @ V.conj().T, E, atol=1e-8 * sd[0])
 
 
 def test_takagi_real_diagonal():

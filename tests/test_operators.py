@@ -212,15 +212,6 @@ def test_fast_paths_reject_bad_shapes():
         ops.fast_lift_mul("spiral", np.zeros(7), np.zeros((4, 2)))
 
 
-def test_lowrank_frob_sq_matches_dense():
-    rng = np.random.default_rng(4)
-    for n, K in ((5, 1), (12, 4)):
-        A = randc(rng, n, K)
-        B = randc(rng, n, K)
-        want = np.linalg.norm(A @ B.conj().T) ** 2
-        assert abs(ops.lowrank_frob_sq(A, B) - want) <= 1e-12 * want
-
-
 # ---------- properties ----------
 
 

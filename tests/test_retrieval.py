@@ -3,13 +3,48 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from htgd.errors import RankDeficientError
-from htgd.retrieval import esprit, match_frequencies, nmse, wrap_distance
+import htgd.operators as ops
+from htgd.errors import NumericalError, RankDeficientError
+from htgd.retrieval import _RANK_RTOL, esprit, match_frequencies, nmse, wrap_distance
 from htgd.signals import ProblemDims, make_rng, random_model, synthesize
 
 
 def sinusoids(N, freqs, coefs):
     return np.exp(-2j * np.pi * np.outer(np.arange(N), np.asarray(freqs))) @ np.asarray(coefs)
+
+
+def dense_esprit(x, K):
+    """Reference ESPRIT: full SVD of the dense n x nL matrix [H x_1, ..., H x_L]."""
+    data = np.asarray(x, dtype=complex)
+    if data.ndim == 1:
+        data = data[:, None]
+    if data.shape[0] % 2 == 0:
+        data = data[:-1]
+    E = np.concatenate([ops.hankel_lift(data[:, l]) for l in range(data.shape[1])], axis=1)
+    U, s, _ = np.linalg.svd(E, full_matrices=False)
+    if s[0] == 0.0 or s[K - 1] / s[0] < _RANK_RTOL:
+        raise RankDeficientError(f"lifted signal has numerical rank below K={K}")
+    Us = U[:, :K]
+    Psi, *_ = np.linalg.lstsq(Us[:-1], Us[1:], rcond=None)
+    lam = np.linalg.eigvals(Psi)
+    return np.sort(np.mod(-np.angle(lam) / (2.0 * np.pi), 1.0))
+
+
+def draw_case(data):
+    """Odd or even N >= 3, L in 1..4 and 1 <= K < n, where n counts the odd prefix."""
+    N = data.draw(st.integers(3, 48), label="N")
+    n = (N - (N + 1) % 2 + 1) // 2
+    L = data.draw(st.integers(1, 4), label="L")
+    K = data.draw(st.integers(1, n - 1), label="K")
+    rng = make_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    return N, L, K, rng
+
+
+def spread_tones(rng, N, L, K):
+    """K tones about 1/K apart with amplitudes in [0.5, 1.5] on every channel."""
+    freqs = (rng.uniform(0, 1) + (np.arange(K) + rng.uniform(-0.1, 0.1, K)) / K) % 1.0
+    coefs = rng.uniform(0.5, 1.5, (K, L)) * np.exp(2j * np.pi * rng.uniform(0, 1, (K, L)))
+    return sinusoids(N, freqs, coefs), freqs
 
 
 def test_single_sinusoid_exact():
@@ -51,6 +86,49 @@ def test_undersized_rank_raises_rank_deficient():
     x = sinusoids(21, [0.3], [[1.0]])  # true rank 1
     with pytest.raises(RankDeficientError):
         esprit(x, K=3)
+
+
+def test_non_finite_input_raises_numerical_error():
+    x = sinusoids(21, [0.3], [[1.0]])
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        y = x.copy()
+        y[4] = bad
+        with pytest.raises(NumericalError, match="NaN or inf"):
+            esprit(y, K=1)
+
+
+def test_fixed_seed_is_deterministic():
+    rng = make_rng(12)
+    x, _ = spread_tones(rng, 301, 3, 5)
+    x = x + 1e-2 * (rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape))
+    np.testing.assert_array_equal(esprit(x, K=5).freqs, esprit(x.copy(), K=5).freqs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fast_esprit_matches_dense_oracle(data):
+    N, L, K, rng = draw_case(data)
+    x, freqs = spread_tones(rng, N, L, K)
+    noise = data.draw(st.sampled_from([0.0, 1e-3, 1e-2]), label="noise")
+    x = x + noise * (rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape))
+    fast = esprit(x, K).freqs
+    _, err = match_frequencies(fast, dense_esprit(x, K))
+    assert err <= 1e-10
+    if noise == 0.0:
+        _, err = match_frequencies(fast, freqs)
+        assert err <= 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_fast_and_dense_esprit_agree_on_rank_deficiency(data):
+    N, L, K, rng = draw_case(data)
+    K_true = data.draw(st.integers(0, K - 1), label="K_true")  # 0 gives all zeros
+    x = spread_tones(rng, N, L, K_true)[0] if K_true else np.zeros((N, L), dtype=complex)
+    with pytest.raises(RankDeficientError):
+        dense_esprit(x, K)
+    with pytest.raises(RankDeficientError):
+        esprit(x, K)
 
 
 def test_k_out_of_range():
