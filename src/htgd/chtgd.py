@@ -26,15 +26,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as ops
-from .descent import SolverConfig, SolverReport, run_descent
-from .lowrank import takagi_lift_truncated, takagi_truncated
-from .mhtgd import _prepare_observed
-from .retrieval import nmse
+from .descent import (
+    Observed,
+    SolverConfig,
+    SolverReport,
+    prepare_observed,
+    run_descent,
+    solver_report,
+    weigh_observations,
+)
+from .lowrank import takagi_lift_truncated
 from .signals import MultichannelSignal, ProblemDims, SamplingMask
 
 __all__ = [
     "FactorSetC",
-    "takagi_truncated",
     "spectral_init_ca",
     "objective_g",
     "grad_g",
@@ -55,25 +60,13 @@ class FactorSetC:
             raise ValueError(f"factors must have shape (L, n, K), got {z.shape}")
 
 
-def _lifts_from_transform(FZ, n, w):
-    """h_l = G*(z_l z_l^T) and hw = W*(z_1 z_1^H) from one cached transform."""
-    N = 2 * n - 1
-    s_h = (FZ * FZ).sum(axis=-1)
-    s_w = (FZ[0] * FZ[0].conj()).sum(axis=-1)
-    out = np.fft.ifft(np.concatenate([s_h, s_w[None]], axis=0), axis=-1)
-    h = out[:-1, :N] / w
-    hw = out[-1, (np.arange(N) - (n - 1)) % FZ.shape[-2]] / w
-    return h, hw
-
-
-def _objective_stacked(z, yT, maskb, p):
+def _objective_stacked(z, obs: Observed):
     L, n, _ = z.shape
     P = ops.fft_length(n)
-    w = ops.weight_vector(2 * n - 1).omega
     FZ = np.fft.fft(z, n=P, axis=-2)
-    h, hw = _lifts_from_transform(FZ, n, w)
-    resid = np.where(maskb, h - yT, 0.0)
-    t1 = np.sum(np.abs(resid) ** 2) / (4.0 * p)
+    h, hw = ops.adjoints_from_transforms(FZ, FZ, FZ[:1], n)  # hw is W*(z_1 z_1^H)
+    resid = np.where(obs.maskb, h - obs.yT, 0.0)
+    t1 = np.sum(np.abs(resid) ** 2) / (4.0 * obs.p)
     gram = np.swapaxes(z, -2, -1).conj() @ z
     lr_h = np.sum((gram * gram).real, axis=(-2, -1))
     t2 = 0.25 * np.sum(np.maximum(lr_h - np.sum(np.abs(h) ** 2, axis=-1), 0.0))
@@ -88,13 +81,14 @@ def _objective_stacked(z, yT, maskb, p):
     return float(t1 + t2 + t3 + t4)
 
 
-def _grad_and_lift_stacked(z, yT, maskb, p, w):
+def _grad_and_lift_stacked(z, obs: Observed):
     L, n, K = z.shape
     P = ops.fft_length(n)
+    w = obs.w
     FZ = np.fft.fft(z, n=P, axis=-2)
-    h, hw = _lifts_from_transform(FZ, n, w)
-    v = np.where(maskb, h - yT, 0.0) / p - h
-    Fvw = np.fft.fft(np.concatenate([v / w, (hw / w)[None]], axis=0), n=P, axis=-1)
+    h, hw = ops.adjoints_from_transforms(FZ, FZ, FZ[:1], n)
+    v = np.where(obs.maskb, h - obs.yT, 0.0) / obs.p - h
+    Fvw = np.fft.fft(np.concatenate([v / w, hw / w], axis=0), n=P, axis=-1)
     Fv = Fvw[:L, :, None]
     Fw = Fvw[L, :, None]
     mixed = np.fft.ifft(np.concatenate(
@@ -119,23 +113,20 @@ def _grad_and_lift_stacked(z, yT, maskb, p, w):
 def objective_g(factors: FactorSetC, y: np.ndarray, mask: SamplingMask,
                 dims: ProblemDims) -> float:
     """Objective value; ``y`` is the weighted signal, (full_N, L)."""
-    yT, maskb = _prepare_observed(y, mask, dims)
-    return _objective_stacked(factors.z, yT, maskb, dims.p)
+    return _objective_stacked(factors.z, prepare_observed(y, mask, dims))
 
 
 def grad_g(factors: FactorSetC, y: np.ndarray, mask: SamplingMask,
            dims: ProblemDims) -> FactorSetC:
     """Conjugate Wirtinger gradient of :func:`objective_g` at ``factors``."""
-    yT, maskb = _prepare_observed(y, mask, dims)
-    w = ops.weight_vector(dims.full_N).omega
-    grad, _ = _grad_and_lift_stacked(factors.z, yT, maskb, dims.p, w)
+    grad, _ = _grad_and_lift_stacked(factors.z, prepare_observed(y, mask, dims))
     return FactorSetC(z=grad)
 
 
 def spectral_init_ca(y: np.ndarray, mask: SamplingMask, dims: ProblemDims,
                      seed: int = 0) -> FactorSetC:
     """Rank-K truncated Takagi factors of p^{-1} G(P_mask y_l) per channel."""
-    yT, maskb = _prepare_observed(y, mask, dims)
+    yT = prepare_observed(y, mask, dims).yT
     z = np.zeros((dims.L, dims.n, dims.K), dtype=complex)
     for l in range(dims.L):
         U, s = takagi_lift_truncated(yT[l] / dims.p, dims.K, seed=(seed, l))
@@ -152,33 +143,10 @@ def solve_chtgd(observations: MultichannelSignal, mask: SamplingMask,
     underlying channels genuinely share amplitudes.
     """
     cfg = config if config is not None else SolverConfig()
-    dims = observations.dims
-    if mask.M != dims.M:
-        raise ValueError(f"mask has {mask.M} indices, dims expects M={dims.M}")
-    w = ops.weight_vector(dims.full_N).omega
-    x_int = np.zeros((dims.L, dims.full_N), dtype=complex)
-    x_int[:, :dims.N] = observations.data.T
-    y = (w * x_int).T
-    yT, maskb = _prepare_observed(y, mask, dims)
-    init = spectral_init_ca(y, mask, dims, seed=cfg.seed)
-    p = dims.p
-
-    def objective(state):
-        return _objective_stacked(state, yT, maskb, p)
-
-    def grad_and_lift(state):
-        return _grad_and_lift_stacked(state, yT, maskb, p, w)
-
-    out = run_descent(init.z, objective, grad_and_lift, lambda h: h / w, cfg)
-    x_hat = out.x_hat.T[:dims.N].copy()
-    report = SolverReport(
-        x_hat=x_hat,
-        iterations=out.iterations,
-        stop_reason=out.stop_reason,
-        objective_trace=out.objective_trace,
-        iter_seconds=out.iter_seconds,
-        total_seconds=out.total_seconds,
-    )
-    if ground_truth is not None:
-        report.nmse = nmse(x_hat, ground_truth.data)
-    return report
+    obs = weigh_observations(observations, mask)
+    init = spectral_init_ca(obs.y, mask, observations.dims, seed=cfg.seed)
+    out = run_descent(init.z,
+                      lambda state: _objective_stacked(state, obs),
+                      lambda state: _grad_and_lift_stacked(state, obs),
+                      lambda h: h / obs.w, cfg)
+    return solver_report(out, observations.dims, ground_truth)

@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from . import io as hio
-from .chtgd import solve_chtgd
 from .descent import (
     STOP_LINE_SEARCH,
     STOP_NUMERICAL,
@@ -25,8 +24,14 @@ from .descent import (
     SolverConfig,
 )
 from .errors import GenerationError, NumericalError
-from .experiments import PhaseGridSpec, TimingSpec, run_phase_grid, run_timing
-from .mhtgd import solve_mhtgd
+from .experiments import (
+    METHODS,
+    PhaseGridSpec,
+    TimingSpec,
+    run_phase_grid,
+    run_timing,
+    solver_for,
+)
 from .retrieval import esprit, match_frequencies
 from .selftest import run_selftest
 from .signals import (
@@ -96,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--observed", type=Path, required=True, help="observed signal CSV")
     p_solve.add_argument("--mask", type=Path, required=True, help="mask JSON")
     p_solve.add_argument("-K", type=int, required=True, help="model order")
-    p_solve.add_argument("--method", choices=("mhtgd", "chtgd"), default="mhtgd")
+    p_solve.add_argument("--method", choices=METHODS, default="mhtgd")
     p_solve.add_argument("--freqs", action="store_true", help="also write recovered frequencies")
     p_solve.add_argument("--ground-truth", type=Path, help="full signal CSV for NMSE")
     p_solve.add_argument("--model", type=Path, help="model JSON; prints max wrap error with --freqs")
@@ -151,8 +156,7 @@ def cmd_solve(args) -> int:
     if args.ground_truth is not None:
         truth = MultichannelSignal(data=_read_input(hio.read_signal_csv, args.ground_truth),
                                    dims=dims)
-    solver = solve_mhtgd if args.method == "mhtgd" else solve_chtgd
-    report = solver(observations, mask, _solver_config(args), ground_truth=truth)
+    report = solver_for(args.method)(observations, mask, _solver_config(args), ground_truth=truth)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     print(hio.write_signal_csv(out / "recovered.csv", report.x_hat))

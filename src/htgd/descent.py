@@ -1,4 +1,4 @@
-"""Backtracking gradient descent shared by both factorisation solvers.
+"""Backtracking gradient descent and the plumbing both factorisation solvers share.
 
 The iteration is Z <- Z - eta * grad with eta from an Armijo search:
 accept the first eta with
@@ -12,8 +12,14 @@ complex array.
 
 Stopping: relative change of the reconstructed signal between accepted
 iterates falls below ``tol``, or ``max_iter`` accepted steps.  Exhausted
-backtracking and non-finite values are reported through
-``SolverReport.stop_reason`` rather than raised.
+backtracking and non-finite iterates are reported through
+``SolverReport.stop_reason`` rather than raised; non-finite observed
+samples are rejected up front by :func:`prepare_observed` with
+``NumericalError``.
+
+A solver is its factorisation, objective and gradient; around them it
+calls :func:`weigh_observations`, :func:`run_descent` and
+:func:`solver_report` from here.
 """
 
 from __future__ import annotations
@@ -23,6 +29,11 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
+
+from . import operators as ops
+from .errors import NumericalError
+from .retrieval import nmse
+from .signals import MultichannelSignal, ProblemDims, SamplingMask
 
 STOP_CONVERGED = "converged"
 STOP_MAX_ITER = "max_iter"
@@ -78,6 +89,48 @@ class SolverReport:
     @property
     def converged(self) -> bool:
         return self.stop_reason == STOP_CONVERGED
+
+
+class Observed(NamedTuple):
+    """Weighted observations in the layout both objectives read."""
+
+    y: np.ndarray      # (full_N, L): omega * x, x zero-padded to odd length
+    yT: np.ndarray     # (L, full_N): y^T on the mask, zero elsewhere
+    maskb: np.ndarray  # (full_N,) bool
+    p: float           # M / full_N
+    w: np.ndarray      # omega, (full_N,)
+
+
+def prepare_observed(y: np.ndarray, mask: SamplingMask, dims: ProblemDims) -> Observed:
+    """Check the weighted signal ``y`` (full_N, L) against ``mask`` and ``dims``.
+
+    Raises ``ValueError`` on a shape or mask mismatch and ``NumericalError``
+    when an observed sample of y / p is not finite; rows off the mask are
+    never read, so they may hold anything.
+    """
+    y = np.asarray(y, dtype=complex)
+    if y.shape != (dims.full_N, dims.L):
+        raise ValueError(f"expected weighted signal of shape ({dims.full_N}, {dims.L}), got {y.shape}")
+    if mask.N != dims.N:
+        raise ValueError(f"mask covers N={mask.N}, dims has N={dims.N}")
+    if mask.M != dims.M:
+        raise ValueError(f"mask has {mask.M} indices, dims expects M={dims.M}")
+    maskb = mask.bool_array(dims.full_N)
+    yT = np.where(maskb, y.T, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        finite = np.all(np.isfinite(yT / dims.p))
+    if not finite:
+        raise NumericalError("observed samples contain NaN or inf (after weighting by omega / p)")
+    return Observed(y, yT, maskb, dims.p, ops.weight_vector(dims.full_N).omega)
+
+
+def weigh_observations(observations: MultichannelSignal, mask: SamplingMask) -> Observed:
+    """:func:`prepare_observed` on omega * x, with x zero-padded to odd length."""
+    dims = observations.dims
+    w = ops.weight_vector(dims.full_N).omega
+    x_int = np.zeros((dims.L, dims.full_N), dtype=complex)
+    x_int[:, :dims.N] = observations.data.T
+    return prepare_observed((w * x_int).T, mask, dims)
 
 
 class ArmijoResult(NamedTuple):
@@ -174,3 +227,19 @@ def run_descent(state0: np.ndarray,
             break
     return DescentOutcome(state, x_curr, iters, stop_reason, trace, iter_seconds,
                           time.perf_counter() - t_start)
+
+
+def solver_report(out: DescentOutcome, dims: ProblemDims,
+                  ground_truth: MultichannelSignal | None = None) -> SolverReport:
+    """``out`` with x_hat trimmed to the user's N rows, plus NMSE against
+    ``ground_truth`` when one is given."""
+    x_hat = out.x_hat.T[:dims.N].copy()
+    return SolverReport(
+        x_hat=x_hat,
+        iterations=out.iterations,
+        stop_reason=out.stop_reason,
+        objective_trace=out.objective_trace,
+        iter_seconds=out.iter_seconds,
+        total_seconds=out.total_seconds,
+        nmse=None if ground_truth is None else nmse(x_hat, ground_truth.data),
+    )

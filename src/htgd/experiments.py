@@ -27,6 +27,7 @@ from .signals import ProblemDims, apply_mask, random_model, sample_mask, synthes
 from .mhtgd import solve_mhtgd
 
 __all__ = [
+    "METHODS",
     "SUCCESS_NMSE",
     "PhaseGridSpec",
     "TimingSpec",
@@ -36,16 +37,17 @@ __all__ = [
     "TimingResult",
     "run_phase_grid",
     "run_timing",
+    "solver_for",
 ]
 
 SUCCESS_NMSE = 1e-6
 
-_METHODS = ("mhtgd", "chtgd")
+METHODS = ("mhtgd", "chtgd")
 
 
 def _check_method(method: str) -> str:
-    if method not in _METHODS:
-        raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     return method
 
 
@@ -166,7 +168,12 @@ def _trial_seed(master: int, M: int, K: int, trial: int) -> np.random.SeedSequen
     return np.random.SeedSequence((int(master), int(M), int(K), int(trial)))
 
 
-def _solver_for(method: str):
+def solver_for(method: str):
+    """The solve function of ``method``, one of ``METHODS``.
+
+    The module globals are read at call time, so a rebinding of
+    ``solve_mhtgd`` here (a test double or a tracing wrapper) is honoured.
+    """
     return solve_mhtgd if method == "mhtgd" else solve_chtgd
 
 
@@ -179,7 +186,7 @@ def _run_trial(method: str, dims: ProblemDims, min_sep: float, is_ca: bool,
         truth = synthesize(model, dims)
         mask = sample_mask(dims, seed=ss_mask)
         observed = apply_mask(truth, mask)
-        report = _solver_for(method)(observed, mask, config, ground_truth=truth)
+        report = solver_for(method)(observed, mask, config, ground_truth=truth)
     except Exception as exc:  # individual failures never abort a scan
         return False, f"{type(exc).__name__}: {exc}", None
     if report.nmse is not None and report.nmse <= SUCCESS_NMSE:

@@ -31,9 +31,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators as ops
-from .descent import SolverConfig, SolverReport, run_descent
+from .descent import (
+    Observed,
+    SolverConfig,
+    SolverReport,
+    prepare_observed,
+    run_descent,
+    solver_report,
+    weigh_observations,
+)
 from .lowrank import lift_truncated_svd
-from .retrieval import nmse
 from .signals import MultichannelSignal, ProblemDims, SamplingMask
 
 
@@ -61,17 +68,6 @@ class FactorSetM:
         return FactorSetM(z1=state[:, :n, :], z2=state[:, n:, :])
 
 
-def _prepare_observed(y: np.ndarray, mask: SamplingMask, dims: ProblemDims):
-    y = np.asarray(y, dtype=complex)
-    if y.shape != (dims.full_N, dims.L):
-        raise ValueError(f"expected weighted signal of shape ({dims.full_N}, {dims.L}), got {y.shape}")
-    if mask.N != dims.N:
-        raise ValueError(f"mask covers N={mask.N}, dims has N={dims.N}")
-    maskb = mask.bool_array(dims.full_N)
-    yT = np.where(maskb, y.T, 0.0)
-    return yT, maskb
-
-
 def _transforms(z1, z2, n, P):
     """One batched FFT for the three factor transforms the lifts need."""
     F = np.fft.fft(np.concatenate([z1.conj(), z2, z1], axis=0), n=P, axis=-2)
@@ -79,29 +75,16 @@ def _transforms(z1, z2, n, P):
     return F[:L], F[L:2 * L], F[2 * L:]
 
 
-def _lifts_from_transforms(F1c, F2, F1, n, w):
-    """h = G*(z2 z1^H) and hw = W*(z1 z1^H) from cached transforms."""
-    N = 2 * n - 1
-    s_h = (F2 * F1c).sum(axis=-1)
-    s_w = (F1 * F1.conj()).sum(axis=-1)
-    out = np.fft.ifft(np.concatenate([s_h, s_w], axis=0), axis=-1)
-    L = s_h.shape[0]
-    h = out[:L, :N] / w
-    hw = out[L:, (np.arange(N) - (n - 1)) % F1.shape[-2]] / w
-    return h, hw
-
-
-def _objective_stacked(state, yT, maskb, p):
+def _objective_stacked(state, obs: Observed):
     L, two_n, K = state.shape
     n = two_n // 2
     z1 = state[:, :n, :]
     z2 = state[:, n:, :]
     P = ops.fft_length(n)
-    w = ops.weight_vector(2 * n - 1).omega
     F1c, F2, F1 = _transforms(z1, z2, n, P)
-    h, hw = _lifts_from_transforms(F1c, F2, F1, n, w)
-    resid = np.where(maskb, h - yT, 0.0)
-    t1 = np.sum(np.abs(resid) ** 2) / (2.0 * p)
+    h, hw = ops.adjoints_from_transforms(F2, F1c, F1, n)
+    resid = np.where(obs.maskb, h - obs.yT, 0.0)
+    t1 = np.sum(np.abs(resid) ** 2) / (2.0 * obs.p)
     Z1f = z1.transpose(1, 0, 2).reshape(n, L * K)
     Z2f = z2.transpose(1, 0, 2).reshape(n, L * K)
     G1full = Z1f.conj().T @ Z1f
@@ -120,15 +103,16 @@ def _objective_stacked(state, yT, maskb, p):
     return float(t1 + t2 + t3 + t4)
 
 
-def _grad_and_lift_stacked(state, yT, maskb, p, w):
+def _grad_and_lift_stacked(state, obs: Observed):
     L, two_n, K = state.shape
     n = two_n // 2
     P = ops.fft_length(n)
     z1 = state[:, :n, :]
     z2 = state[:, n:, :]
+    w = obs.w
     F1c, F2, F1 = _transforms(z1, z2, n, P)
-    h, hw = _lifts_from_transforms(F1c, F2, F1, n, w)
-    v = np.where(maskb, h - yT, 0.0) / p - h
+    h, hw = ops.adjoints_from_transforms(F2, F1c, F1, n)
+    v = np.where(obs.maskb, h - obs.yT, 0.0) / obs.p - h
     Fvw = np.fft.fft(np.concatenate([v / w, hw / w], axis=0), n=P, axis=-1)
     Fv = Fvw[:L, :, None]
     Fw = Fvw[L:, :, None]
@@ -155,16 +139,13 @@ def _grad_and_lift_stacked(state, yT, maskb, p, w):
 def objective_f(factors: FactorSetM, y: np.ndarray, mask: SamplingMask,
                 dims: ProblemDims) -> float:
     """Objective value; ``y`` is the weighted signal, (full_N, L)."""
-    yT, maskb = _prepare_observed(y, mask, dims)
-    return _objective_stacked(factors.stacked(), yT, maskb, dims.p)
+    return _objective_stacked(factors.stacked(), prepare_observed(y, mask, dims))
 
 
 def grad_f(factors: FactorSetM, y: np.ndarray, mask: SamplingMask,
            dims: ProblemDims) -> FactorSetM:
     """Conjugate Wirtinger gradient of :func:`objective_f` at ``factors``."""
-    yT, maskb = _prepare_observed(y, mask, dims)
-    w = ops.weight_vector(dims.full_N).omega
-    grad, _ = _grad_and_lift_stacked(factors.stacked(), yT, maskb, dims.p, w)
+    grad, _ = _grad_and_lift_stacked(factors.stacked(), prepare_observed(y, mask, dims))
     return FactorSetM.from_stacked(grad)
 
 
@@ -175,7 +156,7 @@ def spectral_init(y: np.ndarray, mask: SamplingMask, dims: ProblemDims,
     Channel l factorises T_K(p^{-1} G(P_mask y_l)) = U S V^H into
     z2 = U S^(1/2), z1 = V S^(1/2).
     """
-    yT, maskb = _prepare_observed(y, mask, dims)
+    yT = prepare_observed(y, mask, dims).yT
     n, K, L = dims.n, dims.K, dims.L
     z1 = np.zeros((L, n, K), dtype=complex)
     z2 = np.zeros((L, n, K), dtype=complex)
@@ -197,34 +178,10 @@ def solve_mhtgd(observations: MultichannelSignal, mask: SamplingMask,
     reconstruction NMSE.
     """
     cfg = config if config is not None else SolverConfig()
-    dims = observations.dims
-    if mask.M != dims.M:
-        raise ValueError(f"mask has {mask.M} indices, dims expects M={dims.M}")
-    w = ops.weight_vector(dims.full_N).omega
-    x_int = np.zeros((dims.L, dims.full_N), dtype=complex)
-    x_int[:, :dims.N] = observations.data.T
-    y = (w * x_int).T
-    yT, maskb = _prepare_observed(y, mask, dims)
-    init = spectral_init(y, mask, dims, seed=cfg.seed)
-    p = dims.p
-
-    def objective(state):
-        return _objective_stacked(state, yT, maskb, p)
-
-    def grad_and_lift(state):
-        return _grad_and_lift_stacked(state, yT, maskb, p, w)
-
-    out = run_descent(init.stacked(), objective, grad_and_lift,
-                      lambda h: h / w, cfg)
-    x_hat = out.x_hat.T[:dims.N].copy()
-    report = SolverReport(
-        x_hat=x_hat,
-        iterations=out.iterations,
-        stop_reason=out.stop_reason,
-        objective_trace=out.objective_trace,
-        iter_seconds=out.iter_seconds,
-        total_seconds=out.total_seconds,
-    )
-    if ground_truth is not None:
-        report.nmse = nmse(x_hat, ground_truth.data)
-    return report
+    obs = weigh_observations(observations, mask)
+    init = spectral_init(obs.y, mask, observations.dims, seed=cfg.seed)
+    out = run_descent(init.stacked(),
+                      lambda state: _objective_stacked(state, obs),
+                      lambda state: _grad_and_lift_stacked(state, obs),
+                      lambda h: h / obs.w, cfg)
+    return solver_report(out, observations.dims, ground_truth)

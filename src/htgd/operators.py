@@ -19,8 +19,10 @@ geometry.
 The ``fast_*`` routines evaluate (G v) Z, (W v) Z and G*(A B^H),
 W*(A B^H) through cyclic convolutions of length ``fft_length(n)`` (the
 smallest power of two >= 2n) in O(K N log N) time, never materialising
-an n x n matrix.  The dense lifts above them are the reference
-implementations used by tests and the self-test command.
+an n x n matrix.  ``adjoints_from_transforms`` is the form both solvers
+run: G*(A B^H) and W*(C C^H) from factor transforms the caller already
+holds.  The dense lifts are the reference implementations used by tests
+and the self-test command.
 """
 
 from __future__ import annotations
@@ -224,4 +226,24 @@ def fast_adjoint_lowrank(kind: str, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     roundoff, computed in O(K N log N) without forming A B^H.
     """
     return _adjoint_lowrank(_check_kind(kind), np.asarray(A), np.asarray(B))
+
+
+def adjoints_from_transforms(FA: np.ndarray, FBc: np.ndarray, FC: np.ndarray,
+                             n: int) -> tuple:
+    """G*(A B^H) and W*(C C^H) from transforms the caller already holds.
+
+    ``FA``, ``FBc`` and ``FC`` are the length-``fft_length(n)`` FFTs along
+    the row axis of A, conj(B) and C, each (B_h, P, K) resp. (B_w, P, K).
+    Both adjoints share one batched inverse FFT; returns (h, hw) of
+    shapes (B_h, 2n - 1) and (B_w, 2n - 1).
+    """
+    N = 2 * n - 1
+    w = weight_vector(N).omega
+    s_h = (FA * FBc).sum(axis=-1)
+    s_w = (FC * FC.conj()).sum(axis=-1)
+    out = np.fft.ifft(np.concatenate([s_h, s_w], axis=0), axis=-1)
+    B_h = s_h.shape[0]
+    h = out[:B_h, :N] / w
+    hw = out[B_h:, (np.arange(N) - (n - 1)) % FC.shape[-2]] / w
+    return h, hw
 

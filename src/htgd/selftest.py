@@ -65,6 +65,10 @@ def _check_fast_paths(rng) -> CheckResult:
                 (ops.fast_adjoint_lowrank("hankel", Z, B), ops.g_adjoint(Z @ B.conj().T)),
                 (ops.fast_adjoint_lowrank("toeplitz", Z, B), ops.w_adjoint(Z @ B.conj().T)),
             ]
+            # the solvers' kernel: G*(Z B^H) and W*(Z Z^H) from cached transforms
+            FZ, FBc = np.fft.fft(np.stack([Z, B.conj()]), n=ops.fft_length(n), axis=-2)
+            h, hw = ops.adjoints_from_transforms(FZ[None], FBc[None], FZ[None], n)
+            pairs += [(h[0], ops.g_adjoint(Z @ B.conj().T)), (hw[0], ops.w_adjoint(Z @ Z.conj().T))]
             for fast, dense in pairs:
                 worst = max(worst, float(np.linalg.norm(fast - dense) / np.linalg.norm(dense)))
     return CheckResult("FFT fast paths match dense lifts",

@@ -9,8 +9,7 @@ from htgd.chtgd import (
     solve_chtgd,
     spectral_init_ca,
 )
-from htgd.descent import STOP_CONVERGED, SolverConfig
-from htgd.mhtgd import _prepare_observed
+from htgd.descent import STOP_CONVERGED, SolverConfig, prepare_observed
 from htgd.signals import (
     MultichannelSignal,
     ProblemDims,
@@ -41,7 +40,8 @@ def random_factors(dims, seed):
 
 def dense_objective_full(factors, y, mask, dims):
     """Reference objective from explicit n x n matrices."""
-    yT, maskb = _prepare_observed(y, mask, dims)
+    obs = prepare_observed(y, mask, dims)
+    yT, maskb = obs.yT, obs.maskb
     p = dims.p
     z = factors.z
     tot = 0.0
@@ -85,7 +85,7 @@ def test_gradient_matches_finite_differences(L):
 def test_spectral_init_is_symmetric_best_rank_k():
     # Takagi truncation reaches the Eckart-Young bound for symmetric matrices
     dims, y, mask = random_problem(21, 2, 3, 14, seed=107)
-    yT, _ = _prepare_observed(y, mask, dims)
+    yT = prepare_observed(y, mask, dims).yT
     init = spectral_init_ca(y, mask, dims)
     for l in range(dims.L):
         G = ops.g_apply(yT[l] / dims.p)
@@ -191,7 +191,7 @@ def test_factor_set_shape_validation():
 def test_zero_factors_evaluate_cleanly():
     dims, y, mask = random_problem(11, 2, 2, 8, seed=180)
     factors = FactorSetC(z=np.zeros((dims.L, dims.n, dims.K), dtype=complex))
-    yT, _ = _prepare_observed(y, mask, dims)
+    yT = prepare_observed(y, mask, dims).yT
     expect = np.sum(np.abs(yT) ** 2) / (4 * dims.p)
     assert objective_g(factors, y, mask, dims) == pytest.approx(expect, rel=1e-12)
     g = grad_g(factors, y, mask, dims)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import htgd.io as hio
 from htgd.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from htgd.mhtgd import solve_mhtgd
 
@@ -86,13 +87,25 @@ def test_solve_freqs_on_diverged_solve_is_numerical_error(tmp_path, monkeypatch,
         x_hat[3, 0] = np.nan
         return dataclasses.replace(report, x_hat=x_hat)
 
-    monkeypatch.setattr("htgd.cli.solve_mhtgd", diverged)
+    monkeypatch.setattr("htgd.experiments.solve_mhtgd", diverged)
     out = synth_dir(tmp_path, N=33, M=33)
     sol = tmp_path / "sol"
     code = run_cli("solve", "--observed", out / "observed.csv", "--mask", out / "mask.json",
                    "-K", 2, "--freqs", "--out", sol)
     assert code == EXIT_NUMERICAL
     assert not (sol / "freqs.json").exists()
+    assert "NaN or inf" in capsys.readouterr().err
+
+
+def test_solve_non_finite_observed_sample_is_numerical_error(tmp_path, capsys):
+    out = synth_dir(tmp_path)
+    mask = hio.read_mask_json(out / "mask.json")
+    data = hio.read_signal_csv(out / "observed.csv")
+    data[mask.indices[0] - 1, 0] = np.inf
+    hio.write_signal_csv(out / "observed.csv", data)
+    code = run_cli("solve", "--observed", out / "observed.csv", "--mask", out / "mask.json",
+                   "-K", 2, "--out", tmp_path / "sol")
+    assert code == EXIT_NUMERICAL
     assert "NaN or inf" in capsys.readouterr().err
 
 

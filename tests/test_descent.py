@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from htgd.chtgd import solve_chtgd
 from htgd.descent import (
     STOP_CONVERGED,
     STOP_LINE_SEARCH,
@@ -11,6 +12,19 @@ from htgd.descent import (
     armijo_step,
     run_descent,
 )
+from htgd.errors import NumericalError
+from htgd.mhtgd import solve_mhtgd
+from htgd.signals import (
+    MultichannelSignal,
+    ProblemDims,
+    apply_mask,
+    random_model,
+    sample_mask,
+    synthesize,
+)
+
+SOLVERS = pytest.mark.parametrize("solver,is_ca", [(solve_mhtgd, False), (solve_chtgd, True)],
+                                  ids=["mhtgd", "chtgd"])
 
 
 def quadratic(alpha):
@@ -162,3 +176,28 @@ def test_run_descent_nonfinite_gradient_reported():
 
     out = run_descent(np.ones(2, dtype=complex), lambda z: 1.0, g, lambda h: h, SolverConfig())
     assert out.stop_reason == STOP_NUMERICAL
+
+
+def observed_instance(is_ca):
+    dims = ProblemDims(N=33, L=2, K=2, M=24)
+    sig = synthesize(random_model(dims, min_sep=1.5 / 33, is_ca=is_ca, seed=5), dims)
+    mask = sample_mask(dims, seed=(5, 1))
+    return dims, sig, mask, apply_mask(sig, mask).data.copy()
+
+
+@SOLVERS
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 1e308])  # 1e308 overflows once weighted
+def test_solve_rejects_non_finite_observed_sample(solver, is_ca, bad):
+    dims, _, mask, data = observed_instance(is_ca)
+    data[mask.indices[0] - 1, 0] = bad
+    with pytest.raises(NumericalError, match="NaN or inf"):
+        solver(MultichannelSignal(data=data, dims=dims), mask)
+
+
+@SOLVERS
+def test_solve_ignores_nan_on_unobserved_rows(solver, is_ca):
+    dims, sig, mask, data = observed_instance(is_ca)
+    data[np.setdiff1d(np.arange(dims.N), mask.indices - 1)] = np.nan
+    report = solver(MultichannelSignal(data=data, dims=dims), mask, ground_truth=sig)
+    assert report.converged
+    assert report.nmse <= 1e-6

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 import htgd.operators as ops
-from htgd.descent import STOP_CONVERGED, SolverConfig
+from htgd.descent import STOP_CONVERGED, SolverConfig, prepare_observed
 from htgd.mhtgd import (
     FactorSetM,
-    _prepare_observed,
     grad_f,
     objective_f,
     solve_mhtgd,
@@ -44,7 +43,8 @@ def random_factors(dims, seed):
 
 def dense_objective_full(factors, y, mask, dims):
     """Reference objective: every term from explicit n x n matrices."""
-    yT, maskb = _prepare_observed(y, mask, dims)
+    obs = prepare_observed(y, mask, dims)
+    yT, maskb = obs.yT, obs.maskb
     p = dims.p
     z1, z2 = factors.z1, factors.z2
     L = dims.L
@@ -90,7 +90,7 @@ def test_gradient_matches_finite_differences(L):
 
 def test_spectral_init_is_best_rank_k_per_channel():
     dims, y, mask = random_problem(21, 2, 3, 14, seed=7)
-    yT, _ = _prepare_observed(y, mask, dims)
+    yT = prepare_observed(y, mask, dims).yT
     init = spectral_init(y, mask, dims)
     for l in range(dims.L):
         G = ops.g_apply(yT[l] / dims.p)
@@ -190,7 +190,8 @@ def test_zero_factors_evaluate_cleanly():
     dims, y, mask = random_problem(11, 2, 2, 8, seed=70)
     z = np.zeros((dims.L, dims.n, dims.K), dtype=complex)
     factors = FactorSetM(z1=z, z2=z)
-    yT, maskb = _prepare_observed(y, mask, dims)
+    obs = prepare_observed(y, mask, dims)
+    yT, maskb = obs.yT, obs.maskb
     expect = np.sum(np.abs(yT) ** 2) / (2 * dims.p)
     assert objective_f(factors, y, mask, dims) == pytest.approx(expect, rel=1e-12)
     g = grad_f(factors, y, mask, dims)

@@ -203,6 +203,34 @@ def test_fast_paths_batched():
             assert_allclose(got[l], ops.fast_adjoint_lowrank(kind, A[l], B[l]), atol=1e-12)
 
 
+@pytest.mark.parametrize("n,K", [(1, 1), (4, 2), (17, 3), (64, 4)])
+@pytest.mark.parametrize("pattern", ["mhtgd", "chtgd"])
+def test_adjoints_from_transforms_matches_dense(pattern, n, K):
+    # the solvers' kernel, in both of their call patterns, with a channel axis
+    rng = np.random.default_rng(10 * n + K)
+    L = 3
+    P = ops.fft_length(n)
+    A = randc(rng, L, n, K)
+    if pattern == "mhtgd":  # h_l = G*(z2_l z1_l^H), hw_l = W*(z1_l z1_l^H)
+        B = randc(rng, L, n, K)
+        C = B
+        FC = np.fft.fft(C, n=P, axis=-2)
+        h, hw = ops.adjoints_from_transforms(
+            np.fft.fft(A, n=P, axis=-2), np.fft.fft(B.conj(), n=P, axis=-2), FC, n)
+    else:  # h_l = G*(z_l z_l^T), hw = W*(z_1 z_1^H) of the anchor channel only
+        B = A.conj()
+        C = A[:1]
+        FA = np.fft.fft(A, n=P, axis=-2)
+        h, hw = ops.adjoints_from_transforms(FA, FA, FA[:1], n)
+    assert h.shape == (L, 2 * n - 1) and hw.shape == (C.shape[0], 2 * n - 1)
+    for l in range(L):
+        want = ops.g_adjoint(A[l] @ B[l].conj().T)
+        assert np.max(np.abs(h[l] - want)) <= 1e-10 * np.max(np.abs(want))
+    for l in range(C.shape[0]):
+        want = ops.w_adjoint(C[l] @ C[l].conj().T)
+        assert np.max(np.abs(hw[l] - want)) <= 1e-10 * np.max(np.abs(want))
+
+
 def test_fast_paths_reject_bad_shapes():
     with pytest.raises(ValueError):
         ops.fast_lift_mul("hankel", np.zeros(6), np.zeros((4, 2)))
