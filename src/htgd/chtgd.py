@@ -30,9 +30,12 @@ from .descent import (
     Observed,
     SolverConfig,
     SolverReport,
+    Trial,
     prepare_observed,
     run_descent,
     solver_report,
+    transform_line,
+    transforms_at,
     weigh_observations,
 )
 from .lowrank import takagi_lift_truncated
@@ -60,11 +63,23 @@ class FactorSetC:
             raise ValueError(f"factors must have shape (L, n, K), got {z.shape}")
 
 
+def _transforms(z):
+    """The row transforms of every channel's factor, (L, P, K)."""
+    return np.fft.fft(z, n=ops.fft_length(z.shape[1]), axis=-2)
+
+
+def _kernel_args(FZ):
+    """(A, conj B, C) of the operators kernels: A = conj B = z_l gives
+    z_l z_l^T per channel, C = z_1 gives z_1 z_1^H."""
+    return FZ, FZ, FZ[:1]
+
+
 def _objective_stacked(z, obs: Observed):
+    if isinstance(z, Trial):
+        z, h, hw = z.z, z.h, z.hw
+    else:
+        h, hw = ops.adjoints_from_transforms(*_kernel_args(_transforms(z)), z.shape[1])
     L, n, _ = z.shape
-    P = ops.fft_length(n)
-    FZ = np.fft.fft(z, n=P, axis=-2)
-    h, hw = ops.adjoints_from_transforms(FZ, FZ, FZ[:1], n)  # hw is W*(z_1 z_1^H)
     resid = np.where(obs.maskb, h - obs.yT, 0.0)
     t1 = np.sum(np.abs(resid) ** 2) / (4.0 * obs.p)
     gram = np.swapaxes(z, -2, -1).conj() @ z
@@ -81,12 +96,12 @@ def _objective_stacked(z, obs: Observed):
     return float(t1 + t2 + t3 + t4)
 
 
-def _grad_and_lift_stacked(z, obs: Observed):
+def _gradient(z, FZ, obs: Observed):
+    """Gradient at ``z`` from its transforms ``FZ``, with the lifts (h, hw) there."""
     L, n, K = z.shape
-    P = ops.fft_length(n)
+    P = FZ.shape[-2]
     w = obs.w
-    FZ = np.fft.fft(z, n=P, axis=-2)
-    h, hw = ops.adjoints_from_transforms(FZ, FZ, FZ[:1], n)
+    h, hw = ops.adjoints_from_transforms(*_kernel_args(FZ), n)
     v = np.where(obs.maskb, h - obs.yT, 0.0) / obs.p - h
     Fvw = np.fft.fft(np.concatenate([v / w, hw / w], axis=0), n=P, axis=-1)
     Fv = Fvw[:L, :, None]
@@ -107,7 +122,17 @@ def _grad_and_lift_stacked(z, obs: Observed):
                     + z[1:] @ (gram[1:].conj() + gram[1:])
                     - z[0] @ anchor)
     grad *= 0.5
-    return grad, h
+    return grad, h, hw
+
+
+def _grad_and_line(state, obs: Observed):
+    """(Line, h) at a state array or an accepted Trial: the gradient and
+    its FFT-free trial points, with one factor transform, of the gradient."""
+    z, FZ = transforms_at(state, _transforms)
+    grad, h, hw = _gradient(z, FZ, obs)
+    FG = _transforms(grad)
+    coefficients = ops.line_adjoints(*_kernel_args(FZ), *_kernel_args(FG), z.shape[1])
+    return transform_line(z, grad, FZ, FG, (h, hw), coefficients), h
 
 
 def objective_g(factors: FactorSetC, y: np.ndarray, mask: SamplingMask,
@@ -119,7 +144,7 @@ def objective_g(factors: FactorSetC, y: np.ndarray, mask: SamplingMask,
 def grad_g(factors: FactorSetC, y: np.ndarray, mask: SamplingMask,
            dims: ProblemDims) -> FactorSetC:
     """Conjugate Wirtinger gradient of :func:`objective_g` at ``factors``."""
-    grad, _ = _grad_and_lift_stacked(factors.z, prepare_observed(y, mask, dims))
+    grad, _, _ = _gradient(factors.z, _transforms(factors.z), prepare_observed(y, mask, dims))
     return FactorSetC(z=grad)
 
 
@@ -147,6 +172,6 @@ def solve_chtgd(observations: MultichannelSignal, mask: SamplingMask,
     init = spectral_init_ca(obs.y, mask, observations.dims, seed=cfg.seed)
     out = run_descent(init.z,
                       lambda state: _objective_stacked(state, obs),
-                      lambda state: _grad_and_lift_stacked(state, obs),
+                      lambda state: _grad_and_line(state, obs),
                       lambda h: h / obs.w, cfg)
     return solver_report(out, observations.dims, ground_truth)

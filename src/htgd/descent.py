@@ -8,7 +8,7 @@ accept the first eta with
 shrinking eta by ``shrink`` up to ``max_backtracks`` times.  Each
 iteration warm-starts from min(growth * eta_prev, step0 * growth**8).
 A single step size is shared by all channels; the state is one stacked
-complex array.
+complex array, or a :class:`Trial` that holds it.
 
 Stopping: relative change of the reconstructed signal between accepted
 iterates falls below ``tol``, or ``max_iter`` accepted steps.  Exhausted
@@ -20,6 +20,16 @@ samples are rejected up front by :func:`prepare_observed` with
 A solver is its factorisation, objective and gradient; around them it
 calls :func:`weigh_observations`, :func:`run_descent` and
 :func:`solver_report` from here.
+
+Cost of one iteration.  The solvers' lifts G*(A B^H) and W*(C C^H) read
+the factors only through their row FFTs F, which are real-linear in the
+state, so F(Z - eta G) = F(Z) - eta F(G) and the lifts along the line
+are quadratics in eta.  The gradient call therefore transforms one
+array, the new gradient, and returns a :class:`Line` whose trial points
+(:class:`Trial`) carry h(eta) = h0 - eta h1 + eta^2 h2; it costs
+O(L K N log N + L^2 K^2 N).  Each Armijo trial costs O(L N + L^2 K^2 N)
+and no FFT, and the accepted trial hands its transforms F - eta FG to
+the next gradient call.
 """
 
 from __future__ import annotations
@@ -133,28 +143,95 @@ def weigh_observations(observations: MultichannelSignal, mask: SamplingMask) -> 
     return prepare_observed((w * x_int).T, mask, dims)
 
 
+class Trial(NamedTuple):
+    """The point z - eta * G of one line search, as a solver's objective takes it.
+
+    ``h`` and ``hw`` are the solver's lifts there; its factor transforms
+    are the carried ``F - eta * FG``, formed by :meth:`transforms` only
+    when the trial is accepted and the next gradient needs them.
+    """
+
+    z: np.ndarray
+    h: np.ndarray
+    hw: np.ndarray
+    F: np.ndarray
+    FG: np.ndarray
+    eta: float
+
+    def transforms(self) -> np.ndarray:
+        return self.F - self.eta * self.FG
+
+
+class Line(NamedTuple):
+    """A gradient ``grad`` and ``at(eta)``, the trial point state - eta * grad.
+
+    A gradient callable may return a Line in place of a plain gradient
+    array when it knows a cheaper form of its trial points than the array
+    difference (see :func:`transform_line`).
+    """
+
+    grad: np.ndarray
+    at: Callable[[float], object]
+
+
+def _as_line(state, grad) -> Line:
+    """``grad`` itself if it is a Line, else the line of the plain array difference."""
+    if isinstance(grad, Line):
+        return grad
+    return Line(grad, lambda eta: state - eta * grad)
+
+
+def transform_line(z: np.ndarray, grad: np.ndarray, F: np.ndarray, FG: np.ndarray,
+                   lifts: tuple, coefficients: tuple) -> Line:
+    """The line of ``Trial`` points from z along -grad.
+
+    ``F`` and ``FG`` are the solver's factor transforms of z and grad,
+    ``lifts`` = (h0, hw0) its lifts at z and ``coefficients`` = (h1, h2,
+    hw1, hw2) from :func:`operators.line_adjoints`, so that a trial costs
+    no FFT: h(eta) = h0 - eta h1 + eta^2 h2, and the same for hw.
+    """
+    h0, hw0 = lifts
+    h1, h2, hw1, hw2 = coefficients
+
+    def at(eta: float) -> Trial:
+        return Trial(z - eta * grad, h0 - eta * (h1 - eta * h2),
+                     hw0 - eta * (hw1 - eta * hw2), F, FG, eta)
+
+    return Line(grad, at)
+
+
+def transforms_at(state, transform: Callable[[np.ndarray], np.ndarray]) -> tuple:
+    """(z, F): a plain state array with its fresh ``transform``, or an
+    accepted Trial with its carried one."""
+    if isinstance(state, Trial):
+        return state.z, state.transforms()
+    return state, transform(state)
+
+
 class ArmijoResult(NamedTuple):
     accepted: bool
     eta: float
-    state: np.ndarray
+    state: object
     value: float
 
 
-def armijo_step(state: np.ndarray, grad: np.ndarray, f_curr: float,
-                objective: Callable[[np.ndarray], float],
+def armijo_step(state, grad, f_curr: float,
+                objective: Callable[[object], float],
                 cfg: ArmijoConfig, eta_prev: float) -> ArmijoResult:
     """One backtracking step from the warm-started trial size.
 
-    A zero gradient is accepted immediately with the state unchanged.
-    ``accepted=False`` means ``max_backtracks`` shrinks never met the
-    sufficient-decrease condition.
+    ``grad`` is a gradient array or a :class:`Line`; every trial point goes
+    through ``objective``.  A zero gradient is accepted immediately with
+    the state unchanged.  ``accepted=False`` means ``max_backtracks``
+    shrinks never met the sufficient-decrease condition.
     """
-    gnorm_sq = float(np.vdot(grad, grad).real)
+    line = _as_line(state, grad)
+    gnorm_sq = float(np.vdot(line.grad, line.grad).real)
     eta = min(cfg.growth * eta_prev, cfg.step_cap)
     if gnorm_sq == 0.0:
         return ArmijoResult(True, eta, state, f_curr)
     for _ in range(cfg.max_backtracks):
-        cand = state - eta * grad
+        cand = line.at(eta)
         f_new = objective(cand)
         # NaN fails the comparison and keeps shrinking
         if f_new <= f_curr - cfg.decrease * eta * gnorm_sq:
@@ -164,7 +241,7 @@ def armijo_step(state: np.ndarray, grad: np.ndarray, f_curr: float,
 
 
 class DescentOutcome(NamedTuple):
-    state: np.ndarray
+    state: object
     x_hat: np.ndarray
     iterations: int
     stop_reason: str
@@ -190,7 +267,9 @@ def run_descent(state0: np.ndarray,
 
     ``grad_and_lift(state)`` returns (gradient, h) where h is the lifted
     adjoint vector the reconstruction is read from; ``lift_to_signal(h)``
-    turns it into the signal used for the stopping rule.
+    turns it into the signal used for the stopping rule.  The gradient is
+    an array, or a :class:`Line` whose trial points are then the states
+    that ``objective`` and the next ``grad_and_lift`` receive.
     """
     t_start = time.perf_counter()
     state = state0
@@ -207,10 +286,11 @@ def run_descent(state0: np.ndarray,
     iters = 0
     for _ in range(cfg.max_iter):
         t0 = time.perf_counter()
-        if not np.all(np.isfinite(grad)):
+        line = _as_line(state, grad)
+        if not np.all(np.isfinite(line.grad)):
             stop_reason = STOP_NUMERICAL
             break
-        res = armijo_step(state, grad, f_curr, objective, cfg.armijo, eta_prev)
+        res = armijo_step(state, line, f_curr, objective, cfg.armijo, eta_prev)
         if not res.accepted:
             stop_reason = STOP_LINE_SEARCH
             break

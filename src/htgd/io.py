@@ -63,12 +63,14 @@ def read_signal_csv(path) -> np.ndarray:
         raise ValueError(f"{path}: no data rows")
     N = max(r[0] for r in rows)
     L = max(r[1] for r in rows)
-    data = np.full((N, L), np.nan, dtype=complex)
+    data = np.zeros((N, L), dtype=complex)
+    present = np.zeros((N, L), dtype=bool)  # NaN is a value here, not a hole
     for j, l, re, im in rows:
         if not (1 <= j <= N and 1 <= l <= L):
             raise ValueError(f"{path}: index ({j}, {l}) out of range")
-        data[j - 1, l - 1] = re + 1j * im
-    if np.isnan(data.real).any():
+        data[j - 1, l - 1] = complex(re, im)
+        present[j - 1, l - 1] = True
+    if not present.all():
         raise ValueError(f"{path}: missing (sample, channel) rows")
     return data
 

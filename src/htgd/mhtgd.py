@@ -12,8 +12,10 @@ objective sums over channels
 
 Everything is evaluated in factored form: the structure terms through
 the projector identity ||(I - P) M||_F^2 = ||M||_F^2 - ||lift* M||^2,
-the coupling term through K x K Gram matrices.  One evaluation costs
-O(L K N log N + L^2 K^2 N); no n x n matrix is ever formed.
+the coupling term through K x K Gram matrices.  A gradient costs
+O(L K N log N + L^2 K^2 N), an objective at a line-search trial
+O(L N + L^2 K^2 N) (see :mod:`htgd.descent`); no n x n matrix is ever
+formed.
 
 Gradients are conjugate Wirtinger derivatives of the objective, so the
 directional derivative along a perturbation D is 2 Re<grad, D>.  The
@@ -35,9 +37,12 @@ from .descent import (
     Observed,
     SolverConfig,
     SolverReport,
+    Trial,
     prepare_observed,
     run_descent,
     solver_report,
+    transform_line,
+    transforms_at,
     weigh_observations,
 )
 from .lowrank import lift_truncated_svd
@@ -68,21 +73,34 @@ class FactorSetM:
         return FactorSetM(z1=state[:, :n, :], z2=state[:, n:, :])
 
 
-def _transforms(z1, z2, n, P):
-    """One batched FFT for the three factor transforms the lifts need."""
-    F = np.fft.fft(np.concatenate([z1.conj(), z2, z1], axis=0), n=P, axis=-2)
-    L = z1.shape[0]
-    return F[:L], F[L:2 * L], F[2 * L:]
+def _transforms(state):
+    """[conj z1, z2, z1] transformed along the rows, (3L, P, K), in one batched FFT.
+
+    Real-linear in the state, so the transforms of state - eta * G are
+    those of the state minus eta times those of G.
+    """
+    n = state.shape[1] // 2
+    z1 = state[:, :n, :]
+    return np.fft.fft(np.concatenate([z1.conj(), state[:, n:, :], z1], axis=0),
+                      n=ops.fft_length(n), axis=-2)
+
+
+def _kernel_args(F):
+    """(F2, F1c, F1): the (A, conj B, C) arguments of the operators kernels."""
+    L = F.shape[0] // 3
+    return F[L:2 * L], F[:L], F[2 * L:]
 
 
 def _objective_stacked(state, obs: Observed):
+    if isinstance(state, Trial):
+        state, h, hw = state.z, state.h, state.hw
+    else:
+        h, hw = ops.adjoints_from_transforms(*_kernel_args(_transforms(state)),
+                                             state.shape[1] // 2)
     L, two_n, K = state.shape
     n = two_n // 2
     z1 = state[:, :n, :]
     z2 = state[:, n:, :]
-    P = ops.fft_length(n)
-    F1c, F2, F1 = _transforms(z1, z2, n, P)
-    h, hw = ops.adjoints_from_transforms(F2, F1c, F1, n)
     resid = np.where(obs.maskb, h - obs.yT, 0.0)
     t1 = np.sum(np.abs(resid) ** 2) / (2.0 * obs.p)
     Z1f = z1.transpose(1, 0, 2).reshape(n, L * K)
@@ -103,14 +121,15 @@ def _objective_stacked(state, obs: Observed):
     return float(t1 + t2 + t3 + t4)
 
 
-def _grad_and_lift_stacked(state, obs: Observed):
+def _gradient(state, F, obs: Observed):
+    """Gradient at ``state`` from its transforms ``F``, with the lifts (h, hw) there."""
     L, two_n, K = state.shape
     n = two_n // 2
-    P = ops.fft_length(n)
+    P = F.shape[-2]
     z1 = state[:, :n, :]
     z2 = state[:, n:, :]
     w = obs.w
-    F1c, F2, F1 = _transforms(z1, z2, n, P)
+    F2, F1c, F1 = _kernel_args(F)
     h, hw = ops.adjoints_from_transforms(F2, F1c, F1, n)
     v = np.where(obs.maskb, h - obs.yT, 0.0) / obs.p - h
     Fvw = np.fft.fft(np.concatenate([v / w, hw / w], axis=0), n=P, axis=-1)
@@ -133,7 +152,17 @@ def _grad_and_lift_stacked(state, obs: Observed):
     sum3 = (Z1f.conj() @ T12.T).reshape(n, L, K).transpose(1, 0, 2)
     gz1 = 0.5 * (gvc_z2 - ww_z1 + z1 @ (g11 + g22) + L * (sum1 - sum2))
     gz2 = 0.5 * (gv_z1 + z2 @ (g11 + L * L * g22) - L * sum3)
-    return np.concatenate([gz1, gz2], axis=1), h
+    return np.concatenate([gz1, gz2], axis=1), h, hw
+
+
+def _grad_and_line(state, obs: Observed):
+    """(Line, h) at a state array or an accepted Trial: the gradient and
+    its FFT-free trial points, with one factor transform, of the gradient."""
+    z, F = transforms_at(state, _transforms)
+    grad, h, hw = _gradient(z, F, obs)
+    FG = _transforms(grad)
+    coefficients = ops.line_adjoints(*_kernel_args(F), *_kernel_args(FG), z.shape[1] // 2)
+    return transform_line(z, grad, F, FG, (h, hw), coefficients), h
 
 
 def objective_f(factors: FactorSetM, y: np.ndarray, mask: SamplingMask,
@@ -145,7 +174,8 @@ def objective_f(factors: FactorSetM, y: np.ndarray, mask: SamplingMask,
 def grad_f(factors: FactorSetM, y: np.ndarray, mask: SamplingMask,
            dims: ProblemDims) -> FactorSetM:
     """Conjugate Wirtinger gradient of :func:`objective_f` at ``factors``."""
-    grad, _ = _grad_and_lift_stacked(factors.stacked(), prepare_observed(y, mask, dims))
+    state = factors.stacked()
+    grad, _, _ = _gradient(state, _transforms(state), prepare_observed(y, mask, dims))
     return FactorSetM.from_stacked(grad)
 
 
@@ -182,6 +212,6 @@ def solve_mhtgd(observations: MultichannelSignal, mask: SamplingMask,
     init = spectral_init(obs.y, mask, observations.dims, seed=cfg.seed)
     out = run_descent(init.stacked(),
                       lambda state: _objective_stacked(state, obs),
-                      lambda state: _grad_and_lift_stacked(state, obs),
+                      lambda state: _grad_and_line(state, obs),
                       lambda h: h / obs.w, cfg)
     return solver_report(out, observations.dims, ground_truth)

@@ -69,6 +69,16 @@ def _check_fast_paths(rng) -> CheckResult:
             FZ, FBc = np.fft.fft(np.stack([Z, B.conj()]), n=ops.fft_length(n), axis=-2)
             h, hw = ops.adjoints_from_transforms(FZ[None], FBc[None], FZ[None], n)
             pairs += [(h[0], ops.g_adjoint(Z @ B.conj().T)), (hw[0], ops.w_adjoint(Z @ Z.conj().T))]
+            # and its line search: the same adjoints at (Z - eta Z')(B - eta B')^H
+            Zd = rng.standard_normal((n, K)) + 1j * rng.standard_normal((n, K))
+            Bd = rng.standard_normal((n, K)) + 1j * rng.standard_normal((n, K))
+            FZd, FBdc = np.fft.fft(np.stack([Zd, Bd.conj()]), n=ops.fft_length(n), axis=-2)
+            h1, h2, hw1, hw2 = ops.line_adjoints(FZ[None], FBc[None], FZ[None],
+                                                 FZd[None], FBdc[None], FZd[None], n)
+            for eta in (0.3, 4.0):
+                Ze, Be = Z - eta * Zd, B - eta * Bd
+                pairs += [(h[0] - eta * h1[0] + eta**2 * h2[0], ops.g_adjoint(Ze @ Be.conj().T)),
+                          (hw[0] - eta * hw1[0] + eta**2 * hw2[0], ops.w_adjoint(Ze @ Ze.conj().T))]
             for fast, dense in pairs:
                 worst = max(worst, float(np.linalg.norm(fast - dense) / np.linalg.norm(dense)))
     return CheckResult("FFT fast paths match dense lifts",

@@ -109,6 +109,38 @@ def test_solve_non_finite_observed_sample_is_numerical_error(tmp_path, capsys):
     assert "NaN or inf" in capsys.readouterr().err
 
 
+def solve_with_nan_at(tmp_path, observed):
+    """``htgd solve`` after writing NaN into one observed (or unobserved) sample."""
+    out = synth_dir(tmp_path)
+    mask = hio.read_mask_json(out / "mask.json")
+    data = hio.read_signal_csv(out / "observed.csv")
+    rows = mask.indices - 1 if observed else np.setdiff1d(np.arange(data.shape[0]), mask.indices - 1)
+    data[rows[0], 1] = np.nan
+    hio.write_signal_csv(out / "observed.csv", data)
+    return run_cli("solve", "--observed", out / "observed.csv", "--mask", out / "mask.json",
+                   "-K", 2, "--out", tmp_path / "sol")
+
+
+def test_solve_ignores_nan_on_an_unobserved_sample(tmp_path):
+    assert solve_with_nan_at(tmp_path, observed=False) == EXIT_OK
+    assert (tmp_path / "sol" / "report.json").exists()
+
+
+def test_solve_nan_on_an_observed_sample_is_numerical_error(tmp_path, capsys):
+    assert solve_with_nan_at(tmp_path, observed=True) == EXIT_NUMERICAL
+    assert "NaN or inf" in capsys.readouterr().err
+
+
+def test_solve_csv_with_a_missing_row_is_io_error(tmp_path, capsys):
+    out = synth_dir(tmp_path)
+    lines = (out / "observed.csv").read_text().splitlines()
+    (out / "observed.csv").write_text("\n".join(lines[:5] + lines[6:]) + "\n")
+    code = run_cli("solve", "--observed", out / "observed.csv", "--mask", out / "mask.json",
+                   "-K", 2, "--out", tmp_path / "sol")
+    assert code == EXIT_IO
+    assert "missing" in capsys.readouterr().err
+
+
 def test_solve_unknown_method_is_usage_error(tmp_path):
     out = synth_dir(tmp_path)
     with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,11 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from htgd import chtgd, mhtgd
 from htgd.chtgd import solve_chtgd
 from htgd.descent import (
     STOP_CONVERGED,
@@ -9,8 +14,11 @@ from htgd.descent import (
     STOP_NUMERICAL,
     ArmijoConfig,
     SolverConfig,
+    Trial,
     armijo_step,
+    prepare_observed,
     run_descent,
+    weigh_observations,
 )
 from htgd.errors import NumericalError
 from htgd.mhtgd import solve_mhtgd
@@ -25,6 +33,7 @@ from htgd.signals import (
 
 SOLVERS = pytest.mark.parametrize("solver,is_ca", [(solve_mhtgd, False), (solve_chtgd, True)],
                                   ids=["mhtgd", "chtgd"])
+STOP_REASONS = (STOP_CONVERGED, STOP_MAX_ITER, STOP_LINE_SEARCH, STOP_NUMERICAL)
 
 
 def quadratic(alpha):
@@ -201,3 +210,96 @@ def test_solve_ignores_nan_on_unobserved_rows(solver, is_ca):
     report = solver(MultichannelSignal(data=data, dims=dims), mask, ground_truth=sig)
     assert report.converged
     assert report.nmse <= 1e-6
+
+
+# ---------- line search from carried transforms ----------
+
+
+def random_state(module, rng, dims):
+    rows = 2 * dims.n if module is mhtgd else dims.n
+    shape = (dims.L, rows, dims.K)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), module=st.sampled_from([mhtgd, chtgd]))
+def test_trial_objective_matches_direct_evaluation(data, module):
+    # a trial point of the line costs no FFT, yet evaluates like Z - eta G itself
+    N = data.draw(st.integers(3, 64), label="N")
+    L = data.draw(st.integers(1, 4), label="L")
+    n = (N + 1 - N % 2 + 1) // 2  # even N is embedded in length N + 1
+    K = data.draw(st.integers(1, n - 1), label="K")
+    M = data.draw(st.integers(1, N), label="M")
+    eta = data.draw(st.floats(1e-6, 256.0), label="eta")
+    dims = ProblemDims(N=N, L=L, K=K, M=M)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    y = rng.standard_normal((dims.full_N, L)) + 1j * rng.standard_normal((dims.full_N, L))
+    obs = prepare_observed(y, sample_mask(dims, seed=rng.integers(2**32)), dims)
+    z = random_state(module, rng, dims)
+    line, h = module._grad_and_line(z, obs)
+    trial = line.at(eta)
+    assert isinstance(trial, Trial)
+    direct = z - eta * line.grad
+    np.testing.assert_array_equal(trial.z, direct)
+    want = module._objective_stacked(direct, obs)
+    assert abs(module._objective_stacked(trial, obs) - want) <= 1e-10 * want
+    F = module._transforms(direct)
+    assert np.linalg.norm(trial.transforms() - F) <= 1e-10 * np.linalg.norm(F)
+    # the accepted trial's gradient, from carried transforms, is the fresh one
+    g_carried, h_carried = module._grad_and_line(trial, obs)
+    g_fresh, h_fresh = module._grad_and_line(direct, obs)
+    assert np.linalg.norm(g_carried.grad - g_fresh.grad) <= 1e-9 * np.linalg.norm(g_fresh.grad)
+    assert np.linalg.norm(h_carried - h_fresh) <= 1e-10 * np.linalg.norm(h_fresh)
+
+
+def test_carried_transforms_do_not_drift_over_a_long_descent():
+    # a hard instance (M = 6 of 33) that runs the full 3,000 iterations
+    dims = ProblemDims(N=33, L=2, K=3, M=6)
+    sig = synthesize(random_model(dims, min_sep=1.5 / 33, seed=0), dims)
+    mask = sample_mask(dims, seed=(0, 1))
+    obs = weigh_observations(apply_mask(sig, mask), mask)
+    init = mhtgd.spectral_init(obs.y, mask, dims, seed=2)
+    out = run_descent(init.stacked(),
+                      lambda state: mhtgd._objective_stacked(state, obs),
+                      lambda state: mhtgd._grad_and_line(state, obs),
+                      lambda h: h / obs.w, SolverConfig(max_iter=3000, tol=1e-300))
+    assert out.iterations == 3000 and out.stop_reason == STOP_MAX_ITER
+    carried = out.state.transforms()
+    fresh = mhtgd._transforms(out.state.z)
+    assert np.linalg.norm(carried - fresh) <= 1e-10 * np.linalg.norm(fresh)
+
+
+EDGE_CASES = {
+    # (N, L, K, M, min_sep)
+    "L1": (33, 1, 2, 24, 1.5 / 33),
+    "M1": (33, 2, 2, 1, 1.5 / 33),
+    "even_N": (34, 2, 3, 26, 1.5 / 34),
+    "N2": (2, 2, 1, 2, 0.5),
+    "N3": (3, 2, 1, 2, 0.5),
+    "K_n_minus_1": (33, 2, 16, 30, 0.2 / 33),
+}
+
+
+@SOLVERS
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_edge_cases_end_with_a_stop_reason(solver, is_ca, case):
+    N, L, K, M, min_sep = EDGE_CASES[case]
+    dims = ProblemDims(N=N, L=L, K=K, M=M)
+    sig = synthesize(random_model(dims, min_sep=min_sep, is_ca=is_ca, seed=3), dims)
+    mask = sample_mask(dims, seed=(3, 1))
+    t0 = time.perf_counter()
+    report = solver(apply_mask(sig, mask), mask, SolverConfig(max_iter=300, seed=1),
+                    ground_truth=sig)
+    assert time.perf_counter() - t0 < 20.0
+    assert report.stop_reason in STOP_REASONS
+    assert report.x_hat.shape == (N, L) and np.all(np.isfinite(report.x_hat))
+
+
+@SOLVERS
+def test_all_zero_observations_stop_at_the_zero_gradient(solver, is_ca):
+    dims = ProblemDims(N=33, L=2, K=2, M=24)
+    mask = sample_mask(dims, seed=(3, 1))
+    zeros = MultichannelSignal(data=np.zeros((33, 2), dtype=complex), dims=dims)
+    report = solver(zeros, mask, SolverConfig(max_iter=300))
+    assert report.stop_reason == STOP_CONVERGED and report.iterations == 1
+    assert np.all(report.x_hat == 0)

@@ -47,6 +47,21 @@ def test_signal_csv_rejects_missing_rows(tmp_path):
         hio.read_signal_csv(p)
 
 
+def test_signal_csv_keeps_nan_and_inf_values(tmp_path):
+    # a non-finite sample is a value for the solver to judge, not a missing row
+    data = np.array([[1.0 + 2.0j, np.nan], [complex(np.nan, np.nan), complex(1.0, np.inf)]])
+    back = hio.read_signal_csv(hio.write_signal_csv(tmp_path / "x.csv", data))
+    np.testing.assert_array_equal(back, data)
+    assert back[1, 1] == complex(1.0, np.inf)
+
+
+def test_signal_csv_rejects_missing_row_next_to_nan(tmp_path):
+    p = tmp_path / "hole.csv"
+    p.write_text("j,channel,re,im\n1,1,nan,0.0\n1,2,0.0,0.0\n2,2,nan,nan\n")
+    with pytest.raises(ValueError, match="missing"):
+        hio.read_signal_csv(p)
+
+
 def test_signal_csv_rejects_empty(tmp_path):
     p = tmp_path / "empty.csv"
     p.write_text("j,channel,re,im\n")

@@ -231,6 +231,55 @@ def test_adjoints_from_transforms_matches_dense(pattern, n, K):
         assert np.max(np.abs(hw[l] - want)) <= 1e-10 * np.max(np.abs(want))
 
 
+def line_kernel_args(pattern, rng, L, n, K):
+    """Random factors Z and direction D, and ``args(X)``: the kernel arguments
+    (FA, FBc, FC) of X in one solver's call pattern."""
+    P = ops.fft_length(n)
+
+    def fft(X):
+        return np.fft.fft(X, n=P, axis=-2)
+
+    if pattern == "mhtgd":  # (F2, F1c, F1): h_l = G*(z2_l z1_l^H), hw_l = W*(z1_l z1_l^H)
+        def args(Z):
+            return fft(Z[1]), fft(Z[0].conj()), fft(Z[0])
+        shape = (2, L, n, K)
+    else:  # (FZ, FZ, FZ[:1]): h_l = G*(z_l z_l^T), hw = W*(z_1 z_1^H)
+        def args(Z):
+            FZ = fft(Z)
+            return FZ, FZ, FZ[:1]
+        shape = (L, n, K)
+    return randc(rng, *shape), randc(rng, *shape), args
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), pattern=st.sampled_from(["mhtgd", "chtgd"]))
+def test_line_adjoints_match_fresh_transforms(data, pattern):
+    # h(eta) = h0 - eta h1 + eta^2 h2 equals the adjoints of fresh FFTs of Z - eta D
+    N = data.draw(st.integers(3, 64), label="N")  # odd or even signal length
+    n = (N + 1 - N % 2 + 1) // 2  # even N is embedded in length N + 1
+    L = data.draw(st.integers(1, 4), label="L")
+    K = data.draw(st.integers(1, n - 1), label="K")
+    eta = data.draw(st.floats(1e-6, 256.0), label="eta")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    Z, D, args = line_kernel_args(pattern, rng, L, n, K)
+    h0, hw0 = ops.adjoints_from_transforms(*args(Z), n)
+    h1, h2, hw1, hw2 = ops.line_adjoints(*args(Z), *args(D), n)
+    want_h, want_hw = ops.adjoints_from_transforms(*args(Z - eta * D), n)
+    for got, want in ((h0 - eta * h1 + eta**2 * h2, want_h),
+                      (hw0 - eta * hw1 + eta**2 * hw2, want_hw)):
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_ksum_is_bit_identical_to_sum_for_short_axes():
+    rng = np.random.default_rng(4)
+    for K in (1, 2, 3):
+        A = randc(rng, 3, 64, K)
+        B = randc(rng, 3, 64, K)
+        assert np.array_equal(ops._ksum(A, B), (A * B).sum(axis=-1))
+        assert np.array_equal(ops._ksum(A, B[:1]), (A * B[:1]).sum(axis=-1))
+
+
 def test_fast_paths_reject_bad_shapes():
     with pytest.raises(ValueError):
         ops.fast_lift_mul("hankel", np.zeros(6), np.zeros((4, 2)))

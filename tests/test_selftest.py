@@ -37,3 +37,15 @@ def test_results_are_deterministic():
     b = run_selftest(seed=3)
     assert [(r.name, r.passed, r.detail) for r in a] == \
         [(r.name, r.passed, r.detail) for r in b]
+
+
+def test_corrupted_line_adjoints_fail_the_fast_path_check(monkeypatch):
+    real = ops.line_adjoints
+
+    def corrupted(*args):
+        h1, h2, hw1, hw2 = real(*args)
+        return h1, -h2, hw1, hw2  # wrong sign of the eta^2 term
+
+    monkeypatch.setattr(ops, "line_adjoints", corrupted)
+    fast = [r for r in run_selftest() if "fast paths" in r.name]
+    assert len(fast) == 1 and not fast[0].passed
