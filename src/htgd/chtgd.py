@@ -11,10 +11,11 @@ second factor:
     + 1/4 || (I - W W*)(Z^1 Z^{1,H}) ||_F^2
     + 1/4 sum_{l >= 2} || Z^1 Z^{1,H} - Z^l Z^{l,H} ||_F^2
 
-with channel 1 anchoring the Toeplitz structure penalty.  Evaluation and
-gradients use the same factored fast paths as the two-factor solver; the
-gradient is again the conjugate Wirtinger derivative, so directional
-derivatives equal 2 Re<grad, D>.
+with channel 1 anchoring the Toeplitz structure penalty.  Evaluation,
+gradients and the line search (``descent.gradient_line``) run through
+the same ``operators`` kernels as the two-factor solver; the gradient is
+again the conjugate Wirtinger derivative, so directional derivatives
+equal 2 Re<grad, D>.
 
 State layout: one complex array of shape (L, n, K).
 """
@@ -31,11 +32,10 @@ from .descent import (
     SolverConfig,
     SolverReport,
     Trial,
+    gradient_line,
     prepare_observed,
     run_descent,
     solver_report,
-    transform_line,
-    transforms_at,
     weigh_observations,
 )
 from .lowrank import takagi_lift_truncated
@@ -65,7 +65,7 @@ class FactorSetC:
 
 def _transforms(z):
     """The row transforms of every channel's factor, (L, P, K)."""
-    return np.fft.fft(z, n=ops.fft_length(z.shape[1]), axis=-2)
+    return ops.row_transforms(z)
 
 
 def _kernel_args(FZ):
@@ -99,20 +99,14 @@ def _objective_stacked(z, obs: Observed):
 def _gradient(z, FZ, obs: Observed):
     """Gradient at ``z`` from its transforms ``FZ``, with the lifts (h, hw) there."""
     L, n, K = z.shape
-    P = FZ.shape[-2]
-    w = obs.w
-    h, hw = ops.adjoints_from_transforms(*_kernel_args(FZ), n)
+    FA, FBc, FC = _kernel_args(FZ)
+    h, hw = ops.adjoints_from_transforms(FA, FBc, FC, n)
     v = np.where(obs.maskb, h - obs.yT, 0.0) / obs.p - h
-    Fvw = np.fft.fft(np.concatenate([v / w, hw / w], axis=0), n=P, axis=-1)
-    Fv = Fvw[:L, :, None]
-    Fw = Fvw[L, :, None]
-    mixed = np.fft.ifft(np.concatenate(
-        [Fv * FZ.conj(), (Fw * FZ[0])[None]], axis=0), axis=-2)
-    gv_zc = mixed[:L, :n, :]  # G(v_l) conj(z_l)
-    ww_z1 = mixed[L, n - 1:2 * n - 1, :]
+    # G(v_l) conj(z_l) from the transforms of z_l, and W(hw) z_1
+    gv_zc, ww_z1 = ops.lift_products_from_transforms(v, (FZ,), hw, FC)
     gram = np.swapaxes(z, -2, -1).conj() @ z  # z_l^H z_l
     grad = np.empty_like(z)
-    grad[0] = gv_zc[0] - ww_z1 + z[0] @ (gram[0].conj() + L * gram[0])
+    grad[0] = gv_zc[0] - ww_z1[0] + z[0] @ (gram[0].conj() + L * gram[0])
     if L > 1:
         Zr = z[1:].transpose(1, 0, 2).reshape(n, (L - 1) * K)
         # sum_q z^q (z^{q,H} z^1) over the non-anchor channels
@@ -123,16 +117,6 @@ def _gradient(z, FZ, obs: Observed):
                     - z[0] @ anchor)
     grad *= 0.5
     return grad, h, hw
-
-
-def _grad_and_line(state, obs: Observed):
-    """(Line, h) at a state array or an accepted Trial: the gradient and
-    its FFT-free trial points, with one factor transform, of the gradient."""
-    z, FZ = transforms_at(state, _transforms)
-    grad, h, hw = _gradient(z, FZ, obs)
-    FG = _transforms(grad)
-    coefficients = ops.line_adjoints(*_kernel_args(FZ), *_kernel_args(FG), z.shape[1])
-    return transform_line(z, grad, FZ, FG, (h, hw), coefficients), h
 
 
 def objective_g(factors: FactorSetC, y: np.ndarray, mask: SamplingMask,
@@ -172,6 +156,7 @@ def solve_chtgd(observations: MultichannelSignal, mask: SamplingMask,
     init = spectral_init_ca(obs.y, mask, observations.dims, seed=cfg.seed)
     out = run_descent(init.z,
                       lambda state: _objective_stacked(state, obs),
-                      lambda state: _grad_and_line(state, obs),
+                      lambda state: gradient_line(state, obs, _transforms, _kernel_args,
+                                                  _gradient),
                       lambda h: h / obs.w, cfg)
     return solver_report(out, observations.dims, ground_truth)

@@ -17,19 +17,19 @@ backtracking and non-finite iterates are reported through
 samples are rejected up front by :func:`prepare_observed` with
 ``NumericalError``.
 
-A solver is its factorisation, objective and gradient; around them it
-calls :func:`weigh_observations`, :func:`run_descent` and
-:func:`solver_report` from here.
+A solver is its factorisation, objective, gradient and factor transforms;
+around them it calls :func:`weigh_observations`, :func:`run_descent`,
+:func:`gradient_line` and :func:`solver_report` from here.
 
 Cost of one iteration.  The solvers' lifts G*(A B^H) and W*(C C^H) read
 the factors only through their row FFTs F, which are real-linear in the
 state, so F(Z - eta G) = F(Z) - eta F(G) and the lifts along the line
-are quadratics in eta.  The gradient call therefore transforms one
-array, the new gradient, and returns a :class:`Line` whose trial points
-(:class:`Trial`) carry h(eta) = h0 - eta h1 + eta^2 h2; it costs
-O(L K N log N + L^2 K^2 N).  Each Armijo trial costs O(L N + L^2 K^2 N)
-and no FFT, and the accepted trial hands its transforms F - eta FG to
-the next gradient call.
+are quadratics in eta.  The gradient call, :func:`gradient_line`, thus
+transforms one array, the new gradient, and returns a :class:`Line`
+whose trial points (:class:`Trial`) carry h(eta) = h0 - eta h1 + eta^2
+h2; it costs O(L K N log N + L^2 K^2 N).  Each Armijo trial costs
+O(L N + L^2 K^2 N) and no FFT, and the accepted trial hands its
+transforms F - eta FG to the next gradient call.
 """
 
 from __future__ import annotations
@@ -140,7 +140,9 @@ def weigh_observations(observations: MultichannelSignal, mask: SamplingMask) -> 
     w = ops.weight_vector(dims.full_N).omega
     x_int = np.zeros((dims.L, dims.full_N), dtype=complex)
     x_int[:, :dims.N] = observations.data.T
-    return prepare_observed((w * x_int).T, mask, dims)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf on the mask: reported below
+        y = w * x_int
+    return prepare_observed(y.T, mask, dims)
 
 
 class Trial(NamedTuple):
@@ -167,7 +169,7 @@ class Line(NamedTuple):
 
     A gradient callable may return a Line in place of a plain gradient
     array when it knows a cheaper form of its trial points than the array
-    difference (see :func:`transform_line`).
+    difference (see :func:`gradient_line`).
     """
 
     grad: np.ndarray
@@ -181,31 +183,29 @@ def _as_line(state, grad) -> Line:
     return Line(grad, lambda eta: state - eta * grad)
 
 
-def transform_line(z: np.ndarray, grad: np.ndarray, F: np.ndarray, FG: np.ndarray,
-                   lifts: tuple, coefficients: tuple) -> Line:
-    """The line of ``Trial`` points from z along -grad.
+def gradient_line(state, obs: Observed, transforms: Callable, kernel_args: Callable,
+                  gradient: Callable) -> tuple:
+    """(Line, h) at a state array or an accepted Trial, from a solver's
+    ``transforms(z)``, ``kernel_args(F)`` and ``gradient(z, F, obs)``.
 
-    ``F`` and ``FG`` are the solver's factor transforms of z and grad,
-    ``lifts`` = (h0, hw0) its lifts at z and ``coefficients`` = (h1, h2,
-    hw1, hw2) from :func:`operators.line_adjoints`, so that a trial costs
-    no FFT: h(eta) = h0 - eta h1 + eta^2 h2, and the same for hw.
+    F is fresh for an array and carried for a Trial; FG, of the gradient,
+    is the one transform made here.  A trial then costs no FFT: h(eta) =
+    h0 - eta h1 + eta^2 h2, and the same for hw (:func:`operators.line_adjoints`).
     """
-    h0, hw0 = lifts
-    h1, h2, hw1, hw2 = coefficients
+    if isinstance(state, Trial):
+        z, F = state.z, state.transforms()
+    else:
+        z, F = state, transforms(state)
+    grad, h0, hw0 = gradient(z, F, obs)
+    FG = transforms(grad)
+    h1, h2, hw1, hw2 = ops.line_adjoints(*kernel_args(F), *kernel_args(FG),
+                                         (len(obs.w) + 1) // 2)
 
     def at(eta: float) -> Trial:
         return Trial(z - eta * grad, h0 - eta * (h1 - eta * h2),
                      hw0 - eta * (hw1 - eta * hw2), F, FG, eta)
 
-    return Line(grad, at)
-
-
-def transforms_at(state, transform: Callable[[np.ndarray], np.ndarray]) -> tuple:
-    """(z, F): a plain state array with its fresh ``transform``, or an
-    accepted Trial with its carried one."""
-    if isinstance(state, Trial):
-        return state.z, state.transforms()
-    return state, transform(state)
+    return Line(grad, at), h0
 
 
 class ArmijoResult(NamedTuple):

@@ -12,10 +12,12 @@ objective sums over channels
 
 Everything is evaluated in factored form: the structure terms through
 the projector identity ||(I - P) M||_F^2 = ||M||_F^2 - ||lift* M||^2,
-the coupling term through K x K Gram matrices.  A gradient costs
-O(L K N log N + L^2 K^2 N), an objective at a line-search trial
-O(L N + L^2 K^2 N) (see :mod:`htgd.descent`); no n x n matrix is ever
-formed.
+the coupling term through K x K Gram matrices, and every FFT through
+the ``operators`` kernels; ``descent.gradient_line`` builds the line
+search from ``_transforms``, ``_kernel_args`` and ``_gradient``.  A
+gradient costs O(L K N log N + L^2 K^2 N), an objective at a
+line-search trial O(L N + L^2 K^2 N) (see :mod:`htgd.descent`); no
+n x n matrix is ever formed.
 
 Gradients are conjugate Wirtinger derivatives of the objective, so the
 directional derivative along a perturbation D is 2 Re<grad, D>.  The
@@ -38,11 +40,10 @@ from .descent import (
     SolverConfig,
     SolverReport,
     Trial,
+    gradient_line,
     prepare_observed,
     run_descent,
     solver_report,
-    transform_line,
-    transforms_at,
     weigh_observations,
 )
 from .lowrank import lift_truncated_svd
@@ -81,8 +82,7 @@ def _transforms(state):
     """
     n = state.shape[1] // 2
     z1 = state[:, :n, :]
-    return np.fft.fft(np.concatenate([z1.conj(), state[:, n:, :], z1], axis=0),
-                      n=ops.fft_length(n), axis=-2)
+    return ops.row_transforms(np.concatenate([z1.conj(), state[:, n:, :], z1], axis=0))
 
 
 def _kernel_args(F):
@@ -125,21 +125,12 @@ def _gradient(state, F, obs: Observed):
     """Gradient at ``state`` from its transforms ``F``, with the lifts (h, hw) there."""
     L, two_n, K = state.shape
     n = two_n // 2
-    P = F.shape[-2]
     z1 = state[:, :n, :]
     z2 = state[:, n:, :]
-    w = obs.w
     F2, F1c, F1 = _kernel_args(F)
     h, hw = ops.adjoints_from_transforms(F2, F1c, F1, n)
     v = np.where(obs.maskb, h - obs.yT, 0.0) / obs.p - h
-    Fvw = np.fft.fft(np.concatenate([v / w, hw / w], axis=0), n=P, axis=-1)
-    Fv = Fvw[:L, :, None]
-    Fw = Fvw[L:, :, None]
-    mixed = np.fft.ifft(np.concatenate(
-        [Fv * F1c.conj(), Fv * F2.conj(), Fw * F1], axis=0), axis=-2)
-    gv_z1 = mixed[:L, :n, :]
-    gvc_z2 = np.conj(mixed[L:2 * L, :n, :])
-    ww_z1 = mixed[2 * L:, n - 1:2 * n - 1, :]
+    gv_z1, gv_z2c, ww_z1 = ops.lift_products_from_transforms(v, (F1c, F2), hw, F1)
     Z1f = z1.transpose(1, 0, 2).reshape(n, L * K)
     Z2f = z2.transpose(1, 0, 2).reshape(n, L * K)
     G1full = Z1f.conj().T @ Z1f
@@ -150,19 +141,9 @@ def _gradient(state, F, obs: Observed):
     T12 = Z2f.T @ Z1f
     sum2 = (Z2f.conj() @ T12).reshape(n, L, K).transpose(1, 0, 2)
     sum3 = (Z1f.conj() @ T12.T).reshape(n, L, K).transpose(1, 0, 2)
-    gz1 = 0.5 * (gvc_z2 - ww_z1 + z1 @ (g11 + g22) + L * (sum1 - sum2))
+    gz1 = 0.5 * (np.conj(gv_z2c) - ww_z1 + z1 @ (g11 + g22) + L * (sum1 - sum2))
     gz2 = 0.5 * (gv_z1 + z2 @ (g11 + L * L * g22) - L * sum3)
     return np.concatenate([gz1, gz2], axis=1), h, hw
-
-
-def _grad_and_line(state, obs: Observed):
-    """(Line, h) at a state array or an accepted Trial: the gradient and
-    its FFT-free trial points, with one factor transform, of the gradient."""
-    z, F = transforms_at(state, _transforms)
-    grad, h, hw = _gradient(z, F, obs)
-    FG = _transforms(grad)
-    coefficients = ops.line_adjoints(*_kernel_args(F), *_kernel_args(FG), z.shape[1] // 2)
-    return transform_line(z, grad, F, FG, (h, hw), coefficients), h
 
 
 def objective_f(factors: FactorSetM, y: np.ndarray, mask: SamplingMask,
@@ -212,6 +193,7 @@ def solve_mhtgd(observations: MultichannelSignal, mask: SamplingMask,
     init = spectral_init(obs.y, mask, observations.dims, seed=cfg.seed)
     out = run_descent(init.stacked(),
                       lambda state: _objective_stacked(state, obs),
-                      lambda state: _grad_and_line(state, obs),
+                      lambda state: gradient_line(state, obs, _transforms, _kernel_args,
+                                                  _gradient),
                       lambda h: h / obs.w, cfg)
     return solver_report(out, observations.dims, ground_truth)

@@ -16,14 +16,18 @@ are isometries (G*G = W*W = I), which makes G G* and W W* the orthogonal
 projectors onto Hankel- and Toeplitz-structured matrices in the lifted
 geometry.
 
-The ``fast_*`` routines evaluate (G v) Z, (W v) Z and G*(A B^H),
-W*(A B^H) through cyclic convolutions of length ``fft_length(n)`` (the
-smallest power of two >= 2n) in O(K N log N) time, never materialising
-an n x n matrix.  ``adjoints_from_transforms`` is the form both solvers
-run: G*(A B^H) and W*(C C^H) from factor transforms the caller already
-holds; ``line_adjoints`` gives the same adjoints along a descent line
-A - eta A' as quadratics in eta, so a line search needs no FFT.  The dense lifts are the reference implementations used by tests
-and the self-test command.
+Products (G v) Z, (W v) Z and adjoints G*(A B^H), W*(A B^H) run as
+cyclic convolutions of length ``fft_length(n)`` (the smallest power of
+two >= 2n) in O(K N log N) time, never materialising an n x n matrix.
+Every FFT of the package is made by the kernels here: ``row_transforms``
+(factor transforms), ``lift_products_from_transforms`` and
+``adjoints_from_transforms`` (products and adjoints from transforms the
+caller already holds, as both solvers run them) and ``line_adjoints``
+(the adjoints along a descent line A - eta A' as quadratics in eta, so a
+line search needs no FFT).  ``fast_lift_mul`` and ``fast_adjoint_lowrank``
+are compositions of ``row_transforms`` with the same kernel code.  The
+dense lifts are the reference implementations used by tests and the
+self-test command.
 """
 
 from __future__ import annotations
@@ -147,8 +151,9 @@ def w_adjoint(M: np.ndarray) -> np.ndarray:
 
 # ---------- FFT fast paths ----------
 #
-# All four routines accept leading batch axes: v is (..., N), factor
-# matrices are (..., n, K), and batch shapes must broadcast exactly.
+# The ``fast_*`` routines accept leading batch axes (v is (..., N), factor
+# matrices are (..., n, K), batch shapes broadcast exactly); the
+# transform-level kernels take one batch axis B.
 
 _KINDS = ("hankel", "toeplitz")
 
@@ -159,64 +164,70 @@ def _check_kind(kind: str) -> str:
     return kind
 
 
-def _lift_mul(kind: str, v: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    n = Z.shape[-2]
-    N = 2 * n - 1
-    if v.shape[-1] != N:
-        raise ValueError(f"vector length {v.shape[-1]} does not match factor rows {n}")
-    u = v / weight_vector(N).omega
-    P = fft_length(n)
-    Fu = np.fft.fft(u, n=P, axis=-1)[..., :, None]
-    if kind == "hankel":
-        # row j of (G v) Z is sum_k u[j + k] Z[k, :]: a correlation
-        FZ = np.fft.fft(Z.conj(), n=P, axis=-2)
-        out = np.fft.ifft(Fu * FZ.conj(), axis=-2)
-        return out[..., :n, :]
-    # row j of (W v) Z is sum_k u[n - 1 + j - k] Z[k, :]: a convolution
-    FZ = np.fft.fft(Z, n=P, axis=-2)
-    out = np.fft.ifft(Fu * FZ, axis=-2)
-    return out[..., n - 1 : 2 * n - 1, :]
+def row_transforms(X: np.ndarray) -> np.ndarray:
+    """FFT of the factor ``X`` (..., n, K) along its rows at length
+    ``fft_length(n)``: the (..., P, K) transforms the kernels read."""
+    return np.fft.fft(X, n=fft_length(X.shape[-2]), axis=-2)
+
+
+def _vector_transforms(v: np.ndarray, P: int) -> np.ndarray:
+    """FFT of v / omega at length P, (..., P, 1) to broadcast over columns."""
+    return np.fft.fft(v / weight_vector(v.shape[-1]).omega, n=P, axis=-1)[..., None]
+
+
+def _product(kind: str, Fv: np.ndarray, FZ: np.ndarray) -> np.ndarray:
+    """Transform of the cyclic product holding (lift v) Z, from ``Fv`` and
+    ``FZ``, the row transform of conj(Z) for "hankel" and of Z for "toeplitz"."""
+    return Fv * FZ.conj() if kind == "hankel" else Fv * FZ
+
+
+def _product_rows(kind: str, out: np.ndarray, n: int) -> np.ndarray:
+    """The rows of the cyclic product ``out`` (..., P, K) that are (lift v) Z."""
+    # row j of (G v) Z is sum_k u[j + k] Z[k, :], a correlation; row j of
+    # (W v) Z is sum_k u[n - 1 + j - k] Z[k, :], a convolution
+    return out[..., :n, :] if kind == "hankel" else out[..., n - 1:2 * n - 1, :]
 
 
 def fast_lift_mul(kind: str, v: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """Product (G v) Z for kind="hankel" or (W v) Z for kind="toeplitz".
 
-    Parameters
-    ----------
-    kind : {"hankel", "toeplitz"}
-        Which normalised lift to apply to ``v``.
-    v : (..., N) complex
-        Vector argument of the lift, N = 2n - 1.
-    Z : (..., n, K) complex
-        Right factor.
-
-    Returns
-    -------
-    (..., n, K) complex, equal to ``g_apply(v) @ Z`` resp. ``w_apply(v) @ Z``
-    up to roundoff, at O(K N log N) cost.
+    ``v`` is (..., 2n - 1) and ``Z`` (..., n, K); the result is (..., n, K),
+    equal to ``g_apply(v) @ Z`` resp. ``w_apply(v) @ Z`` up to roundoff, at
+    O(K N log N) cost.
     """
-    return _lift_mul(_check_kind(kind), np.asarray(v), np.asarray(Z))
+    kind = _check_kind(kind)
+    v, Z = np.asarray(v), np.asarray(Z)
+    n = Z.shape[-2]
+    if v.shape[-1] != 2 * n - 1:
+        raise ValueError(f"vector length {v.shape[-1]} does not match factor rows {n}")
+    FZ = row_transforms(Z.conj() if kind == "hankel" else Z)
+    prod = _product(kind, _vector_transforms(v, FZ.shape[-2]), FZ)
+    return _product_rows(kind, np.fft.ifft(prod, axis=-2), n)
 
 
-def _adjoint_lowrank(kind: str, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    n = A.shape[-2]
-    if B.shape[-2] != n or A.shape[-1] != B.shape[-1]:
-        raise ValueError(f"factor shapes {A.shape} and {B.shape} do not match")
+def _blocks(stacked: np.ndarray, parts: list) -> list:
+    """``stacked`` cut along axis 0 into consecutive blocks as long as ``parts``."""
+    blocks, start = [], 0
+    for part in parts:
+        blocks.append(stacked[start:start + len(part)])
+        start += len(part)
+    return blocks
+
+
+def _lift_adjoints(n: int, hankel: list, toeplitz: list) -> tuple:
+    """G*(A B^H) for each K-summed transform product s = sum_k FA * FBc of
+    ``hankel``, and W*(A B^H) for each s = sum_k FA * conj(FB) of
+    ``toeplitz``, each s (B, P), all in one inverse FFT; returns the two
+    lists of (B, 2n - 1) adjoints."""
     N = 2 * n - 1
-    P = fft_length(n)
-    FA = np.fft.fft(A, n=P, axis=-2)
-    if kind == "hankel":
-        # skew-diagonal sums of A B^H: per-column convolutions A_q * conj(B_q)
-        FBc = np.fft.fft(B.conj(), n=P, axis=-2)
-        s = (FA * FBc).sum(axis=-1)
-        raw = np.fft.ifft(s, axis=-1)[..., :N]
-    else:
-        # diagonal sums of A B^H: per-column correlations at lags m - (n - 1)
-        FB = FA if B is A else np.fft.fft(B, n=P, axis=-2)
-        s = (FA * FB.conj()).sum(axis=-1)
-        c = np.fft.ifft(s, axis=-1)
-        raw = c[..., (np.arange(N) - (n - 1)) % P]
-    return raw / weight_vector(N).omega
+    out = np.fft.ifft(np.concatenate(hankel + toeplitz), axis=-1)
+    w = weight_vector(N).omega
+    B_h = sum(len(s) for s in hankel)
+    # skew-diagonal sums of A B^H are the first N entries of the
+    # convolution; diagonal sums the correlation at lags m - (n - 1)
+    h = out[:B_h, :N] / w
+    hw = out[B_h:, (np.arange(N) - (n - 1)) % out.shape[-1]] / w
+    return _blocks(h, hankel), _blocks(hw, toeplitz)
 
 
 def fast_adjoint_lowrank(kind: str, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -226,7 +237,19 @@ def fast_adjoint_lowrank(kind: str, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     equal to ``g_adjoint(A @ B.conj().T)`` resp. ``w_adjoint(...)`` up to
     roundoff, computed in O(K N log N) without forming A B^H.
     """
-    return _adjoint_lowrank(_check_kind(kind), np.asarray(A), np.asarray(B))
+    kind = _check_kind(kind)
+    A, B = np.asarray(A), np.asarray(B)
+    n = A.shape[-2]
+    if B.shape[-2] != n or A.shape[-1] != B.shape[-1]:
+        raise ValueError(f"factor shapes {A.shape} and {B.shape} do not match")
+    FA = row_transforms(A)
+    if kind == "hankel":
+        s = _ksum(FA, row_transforms(B.conj()))
+    else:
+        s = _ksum(FA, (FA if B is A else row_transforms(B)).conj())
+    flat = [s.reshape(-1, s.shape[-1])]
+    h, hw = _lift_adjoints(n, flat, []) if kind == "hankel" else _lift_adjoints(n, [], flat)
+    return (h + hw)[0].reshape(s.shape[:-1] + (2 * n - 1,))
 
 
 def _ksum(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -241,28 +264,37 @@ def _ksum(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return s
 
 
-def _lifts_from_sums(s_h: np.ndarray, s_w: np.ndarray, n: int) -> tuple:
-    """Normalised Hankel and Toeplitz adjoints from the K-summed transform
-    products ``s_h`` (B_h, P) and ``s_w`` (B_w, P), in one batched inverse FFT."""
-    N = 2 * n - 1
-    w = weight_vector(N).omega
-    out = np.fft.ifft(np.concatenate([s_h, s_w], axis=0), axis=-1)
-    B_h = s_h.shape[0]
-    h = out[:B_h, :N] / w
-    hw = out[B_h:, (np.arange(N) - (n - 1)) % s_w.shape[-1]] / w
-    return h, hw
+def lift_products_from_transforms(v: np.ndarray, FZcs: tuple, u: np.ndarray,
+                                  FC: np.ndarray) -> tuple:
+    """(G v) Z for each Z of a tuple, and (W u) C, from transforms the
+    caller already holds.
+
+    ``FZcs`` holds the :func:`row_transforms` of conj(Z) for each Z, each
+    (B_h, P, K), and ``FC`` that of C, (B_w, P, K); ``v`` is (B_h, 2n - 1)
+    and ``u`` (B_w, 2n - 1).  All products share one batched FFT of
+    v / omega and u / omega and one batched inverse FFT; returns the
+    (G v) Z in the order of ``FZcs``, then (W u) C, each (B, n, K).
+    """
+    n = (v.shape[-1] + 1) // 2
+    Fvu = _vector_transforms(np.concatenate([v, u]), FC.shape[-2])
+    Fv, Fu = Fvu[:len(v)], Fvu[len(v):]
+    out = np.fft.ifft(np.concatenate([_product("hankel", Fv, FZc) for FZc in FZcs]
+                                     + [_product("toeplitz", Fu, FC)]), axis=-2)
+    *hankel, toeplitz = _blocks(out, [*FZcs, FC])
+    return (*(_product_rows("hankel", h, n) for h in hankel), _product_rows("toeplitz", toeplitz, n))
 
 
 def adjoints_from_transforms(FA: np.ndarray, FBc: np.ndarray, FC: np.ndarray,
                              n: int) -> tuple:
     """G*(A B^H) and W*(C C^H) from transforms the caller already holds.
 
-    ``FA``, ``FBc`` and ``FC`` are the length-``fft_length(n)`` FFTs along
-    the row axis of A, conj(B) and C, each (B_h, P, K) resp. (B_w, P, K).
-    Both adjoints share one batched inverse FFT; returns (h, hw) of
-    shapes (B_h, 2n - 1) and (B_w, 2n - 1).
+    ``FA``, ``FBc`` and ``FC`` are the :func:`row_transforms` of A, conj(B)
+    and C, each (B_h, P, K) resp. (B_w, P, K).  Both adjoints share one
+    batched inverse FFT; returns (h, hw) of shapes (B_h, 2n - 1) and
+    (B_w, 2n - 1).
     """
-    return _lifts_from_sums(_ksum(FA, FBc), _ksum(FC, FC.conj()), n)
+    (h,), (hw,) = _lift_adjoints(n, [_ksum(FA, FBc)], [_ksum(FC, FC.conj())])
+    return h, hw
 
 
 def line_adjoints(FA: np.ndarray, FBc: np.ndarray, FC: np.ndarray,
@@ -281,10 +313,7 @@ def line_adjoints(FA: np.ndarray, FBc: np.ndarray, FC: np.ndarray,
     share one batched inverse FFT, so each eta then costs O(B N).
     """
     GCc = GC.conj()
-    s1 = _ksum(FA, GBc) + _ksum(GA, FBc)
-    s2 = _ksum(GA, GBc)
-    sw1 = _ksum(FC, GCc) + _ksum(GC, FC.conj())
-    sw2 = _ksum(GC, GCc)
-    h, hw = _lifts_from_sums(np.concatenate([s1, s2]), np.concatenate([sw1, sw2]), n)
-    return h[:len(s1)], h[len(s1):], hw[:len(sw1)], hw[len(sw1):]
-
+    (h1, h2), (hw1, hw2) = _lift_adjoints(
+        n, [_ksum(FA, GBc) + _ksum(GA, FBc), _ksum(GA, GBc)],
+        [_ksum(FC, GCc) + _ksum(GC, FC.conj()), _ksum(GC, GCc)])
+    return h1, h2, hw1, hw2

@@ -97,6 +97,7 @@ def test_solve_freqs_on_diverged_solve_is_numerical_error(tmp_path, monkeypatch,
     assert "NaN or inf" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the error, with no numpy warning first
 def test_solve_non_finite_observed_sample_is_numerical_error(tmp_path, capsys):
     out = synth_dir(tmp_path)
     mask = hio.read_mask_json(out / "mask.json")

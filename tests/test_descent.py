@@ -16,6 +16,7 @@ from htgd.descent import (
     SolverConfig,
     Trial,
     armijo_step,
+    gradient_line,
     prepare_observed,
     run_descent,
     weigh_observations,
@@ -196,6 +197,7 @@ def observed_instance(is_ca):
 
 @SOLVERS
 @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e308])  # 1e308 overflows once weighted
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the error, with no numpy warning first
 def test_solve_rejects_non_finite_observed_sample(solver, is_ca, bad):
     dims, _, mask, data = observed_instance(is_ca)
     data[mask.indices[0] - 1, 0] = bad
@@ -212,7 +214,23 @@ def test_solve_ignores_nan_on_unobserved_rows(solver, is_ca):
     assert report.nmse <= 1e-6
 
 
+@SOLVERS
+@pytest.mark.parametrize("bad", [np.inf, 1e308])
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # off the mask, never weighted into a warning
+def test_solve_ignores_inf_on_unobserved_rows(solver, is_ca, bad):
+    dims, sig, mask, data = observed_instance(is_ca)
+    data[np.setdiff1d(np.arange(dims.N), mask.indices - 1)] = bad
+    report = solver(MultichannelSignal(data=data, dims=dims), mask, ground_truth=sig)
+    assert report.converged
+    assert report.nmse <= 1e-6
+
+
 # ---------- line search from carried transforms ----------
+
+
+def grad_and_line(module, state, obs):
+    """The shared gradient-line builder with one solver's pieces."""
+    return gradient_line(state, obs, module._transforms, module._kernel_args, module._gradient)
 
 
 def random_state(module, rng, dims):
@@ -236,7 +254,7 @@ def test_trial_objective_matches_direct_evaluation(data, module):
     y = rng.standard_normal((dims.full_N, L)) + 1j * rng.standard_normal((dims.full_N, L))
     obs = prepare_observed(y, sample_mask(dims, seed=rng.integers(2**32)), dims)
     z = random_state(module, rng, dims)
-    line, h = module._grad_and_line(z, obs)
+    line, h = grad_and_line(module, z, obs)
     trial = line.at(eta)
     assert isinstance(trial, Trial)
     direct = z - eta * line.grad
@@ -246,8 +264,8 @@ def test_trial_objective_matches_direct_evaluation(data, module):
     F = module._transforms(direct)
     assert np.linalg.norm(trial.transforms() - F) <= 1e-10 * np.linalg.norm(F)
     # the accepted trial's gradient, from carried transforms, is the fresh one
-    g_carried, h_carried = module._grad_and_line(trial, obs)
-    g_fresh, h_fresh = module._grad_and_line(direct, obs)
+    g_carried, h_carried = grad_and_line(module, trial, obs)
+    g_fresh, h_fresh = grad_and_line(module, direct, obs)
     assert np.linalg.norm(g_carried.grad - g_fresh.grad) <= 1e-9 * np.linalg.norm(g_fresh.grad)
     assert np.linalg.norm(h_carried - h_fresh) <= 1e-10 * np.linalg.norm(h_fresh)
 
@@ -261,7 +279,7 @@ def test_carried_transforms_do_not_drift_over_a_long_descent():
     init = mhtgd.spectral_init(obs.y, mask, dims, seed=2)
     out = run_descent(init.stacked(),
                       lambda state: mhtgd._objective_stacked(state, obs),
-                      lambda state: mhtgd._grad_and_line(state, obs),
+                      lambda state: grad_and_line(mhtgd, state, obs),
                       lambda h: h / obs.w, SolverConfig(max_iter=3000, tol=1e-300))
     assert out.iterations == 3000 and out.stop_reason == STOP_MAX_ITER
     carried = out.state.transforms()

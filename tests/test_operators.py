@@ -206,7 +206,7 @@ def test_fast_paths_batched():
 @pytest.mark.parametrize("n,K", [(1, 1), (4, 2), (17, 3), (64, 4)])
 @pytest.mark.parametrize("pattern", ["mhtgd", "chtgd"])
 def test_adjoints_from_transforms_matches_dense(pattern, n, K):
-    # the solvers' kernel, in both of their call patterns, with a channel axis
+    # the solvers' kernels, in both of their call patterns, with a channel axis
     rng = np.random.default_rng(10 * n + K)
     L = 3
     P = ops.fft_length(n)
@@ -229,6 +229,26 @@ def test_adjoints_from_transforms_matches_dense(pattern, n, K):
     for l in range(C.shape[0]):
         want = ops.w_adjoint(C[l] @ C[l].conj().T)
         assert np.max(np.abs(hw[l] - want)) <= 1e-10 * np.max(np.abs(want))
+    # the lift products, both kinds in one call: (G v_l) X_l for every Hankel
+    # factor X of channel l, and (W u_c) C_c
+    v = randc(rng, L, 2 * n - 1)
+    u = randc(rng, C.shape[0], 2 * n - 1)
+    if pattern == "mhtgd":  # (G v_l) z1_l and (G v_l) conj(z2_l): two Hankel factors per channel
+        X = (A, B.conj())
+        *gv, wu = ops.lift_products_from_transforms(
+            v, tuple(np.fft.fft(x.conj(), n=P, axis=-2) for x in X), u, FC)
+    else:  # (G v_l) conj(z_l) from the transforms of z_l, and W(u) z_1 of the anchor
+        X = (A.conj(),)
+        *gv, wu = ops.lift_products_from_transforms(v, (FA,), u, FA[:1])
+    assert len(gv) == len(X) and wu.shape == C.shape
+    for x, g in zip(X, gv):
+        assert g.shape == x.shape
+        for l in range(L):
+            want = ops.g_apply(v[l]) @ x[l]
+            assert np.max(np.abs(g[l] - want)) <= 1e-10 * np.max(np.abs(want))
+    for l in range(C.shape[0]):
+        want = ops.w_apply(u[l]) @ C[l]
+        assert np.max(np.abs(wu[l] - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def line_kernel_args(pattern, rng, L, n, K):

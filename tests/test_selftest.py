@@ -49,3 +49,15 @@ def test_corrupted_line_adjoints_fail_the_fast_path_check(monkeypatch):
     monkeypatch.setattr(ops, "line_adjoints", corrupted)
     fast = [r for r in run_selftest() if "fast paths" in r.name]
     assert len(fast) == 1 and not fast[0].passed
+
+
+def test_corrupted_lift_products_fail_the_fast_path_check(monkeypatch):
+    real = ops.lift_products_from_transforms
+
+    def corrupted(*args):
+        *gv, wu = real(*args)
+        return (*gv, np.roll(wu, 1, axis=-2))  # Toeplitz rows off by one
+
+    monkeypatch.setattr(ops, "lift_products_from_transforms", corrupted)
+    fast = [r for r in run_selftest() if "fast paths" in r.name]
+    assert len(fast) == 1 and not fast[0].passed
