@@ -66,10 +66,14 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-6, help="relative-change stopping tolerance")
     p.add_argument("--max-iter", type=int, default=10_000, help="iteration cap")
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--step0", type=float, default=1.0, help="initial line-search step")
-    p.add_argument("--shrink", type=float, default=0.5, help="backtracking shrink factor")
+    p.add_argument("--step0", type=float, default=1.0,
+                   help="first line-search trial of a solve; step0 * growth**8 caps every trial")
+    p.add_argument("--shrink", type=float, default=0.5,
+                   help="backtracking shrink factor; the BB2 trial is at least shrink**2 * eta_prev")
     p.add_argument("--decrease", type=float, default=1e-4, help="sufficient-decrease constant")
-    p.add_argument("--growth", type=float, default=2.0, help="warm-start growth factor")
+    p.add_argument("--growth", type=float, default=2.0,
+                   help="fallback warm start growth * eta_prev, where the two-point (BB2) "
+                        "step is undefined")
     p.add_argument("--max-backtracks", type=int, default=50)
 
 

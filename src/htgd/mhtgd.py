@@ -91,6 +91,22 @@ def _kernel_args(F):
     return F[L:2 * L], F[:L], F[2 * L:]
 
 
+def _grams(z1, z2):
+    """The coupling term's Gram blocks of the (L, n, K) factors.
+
+    Z1f, Z2f: the factors side by side, (n, L K); G1full = Z1f^H Z1f,
+    g11 its (L, K, K) diagonal blocks z1^{l,H} z1^l, g22 = z2^{l,H} z2^l.
+    """
+    L, n, K = z1.shape
+    Z1f = z1.transpose(1, 0, 2).reshape(n, L * K)
+    Z2f = z2.transpose(1, 0, 2).reshape(n, L * K)
+    G1full = Z1f.conj().T @ Z1f
+    diag = np.arange(L)
+    g11 = G1full.reshape(L, K, L, K)[diag, :, diag, :]
+    g22 = np.swapaxes(z2, -2, -1).conj() @ z2
+    return Z1f, Z2f, G1full, g11, g22
+
+
 def _objective_stacked(state, obs: Observed):
     if isinstance(state, Trial):
         state, h, hw = state.z, state.h, state.hw
@@ -103,12 +119,7 @@ def _objective_stacked(state, obs: Observed):
     z2 = state[:, n:, :]
     resid = np.where(obs.maskb, h - obs.yT, 0.0)
     t1 = np.sum(np.abs(resid) ** 2) / (2.0 * obs.p)
-    Z1f = z1.transpose(1, 0, 2).reshape(n, L * K)
-    Z2f = z2.transpose(1, 0, 2).reshape(n, L * K)
-    G1full = Z1f.conj().T @ Z1f
-    diag = np.arange(L)
-    g11 = G1full.reshape(L, K, L, K)[diag, :, diag, :]
-    g22 = np.swapaxes(z2, -2, -1).conj() @ z2
+    Z1f, Z2f, G1full, g11, g22 = _grams(z1, z2)
     lr_h = np.sum(g22 * np.swapaxes(g11, -2, -1), axis=(-2, -1)).real
     t2 = 0.5 * np.sum(np.maximum(lr_h - np.sum(np.abs(h) ** 2, axis=-1), 0.0))
     lr_w = np.sum(np.abs(g11) ** 2, axis=(-2, -1))
@@ -131,12 +142,7 @@ def _gradient(state, F, obs: Observed):
     h, hw = ops.adjoints_from_transforms(F2, F1c, F1, n)
     v = np.where(obs.maskb, h - obs.yT, 0.0) / obs.p - h
     gv_z1, gv_z2c, ww_z1 = ops.lift_products_from_transforms(v, (F1c, F2), hw, F1)
-    Z1f = z1.transpose(1, 0, 2).reshape(n, L * K)
-    Z2f = z2.transpose(1, 0, 2).reshape(n, L * K)
-    G1full = Z1f.conj().T @ Z1f
-    diag = np.arange(L)
-    g11 = G1full.reshape(L, K, L, K)[diag, :, diag, :]
-    g22 = np.swapaxes(z2, -2, -1).conj() @ z2
+    Z1f, Z2f, G1full, g11, g22 = _grams(z1, z2)
     sum1 = (Z1f @ G1full).reshape(n, L, K).transpose(1, 0, 2)
     T12 = Z2f.T @ Z1f
     sum2 = (Z2f.conj() @ T12).reshape(n, L, K).transpose(1, 0, 2)

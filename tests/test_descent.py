@@ -13,6 +13,7 @@ from htgd.descent import (
     STOP_MAX_ITER,
     STOP_NUMERICAL,
     ArmijoConfig,
+    Line,
     SolverConfig,
     Trial,
     armijo_step,
@@ -22,6 +23,7 @@ from htgd.descent import (
     weigh_observations,
 )
 from htgd.errors import NumericalError
+from htgd.experiments import PhaseGridSpec, run_phase_grid
 from htgd.mhtgd import solve_mhtgd
 from htgd.signals import (
     MultichannelSignal,
@@ -148,10 +150,63 @@ def test_run_descent_converges_on_quadratic():
 
 
 def test_run_descent_max_iter():
-    # alpha = 3 accepts eta = 0.5, so iterates flip-halve forever: rel change stays 1.5
-    out = descend_quadratic(3.0, np.ones(2, dtype=complex), SolverConfig(tol=1e-30, max_iter=3))
+    # alpha = 3: both steps move the iterate (rel change 1.5, then 1); the
+    # minimiser reached at step 2 would only be confirmed by a third
+    out = descend_quadratic(3.0, np.ones(2, dtype=complex), SolverConfig(tol=1e-30, max_iter=2))
     assert out.stop_reason == STOP_MAX_ITER
-    assert out.iterations == 3
+    assert out.iterations == 2
+
+
+def test_run_descent_bb_step_lands_on_the_quadratic_minimiser():
+    # alpha = 3: step0 = 1 overshoots and 0.5 flips z to -z/2; the BB2 step
+    # of the next search is exactly 1/alpha, which lands on 0
+    out = descend_quadratic(3.0, np.ones(2, dtype=complex), SolverConfig(tol=1e-30))
+    assert out.objective_trace[:3] == [6.0, 1.5, 0.0]
+    assert out.stop_reason == STOP_CONVERGED and out.iterations == 3
+    assert np.all(out.state == 0)
+
+
+def first_trial(grad, g_prev, eta_prev):
+    """The first eta a default-config Armijo search tries, through a Line whose
+    points are eta."""
+    trials = []
+
+    def objective(eta):
+        trials.append(eta)
+        return np.nan  # rejected: one trial is enough
+
+    armijo_step(None, Line(grad, lambda eta: eta), 0.0, objective,
+                ArmijoConfig(max_backtracks=1), eta_prev, g_prev)
+    return trials[0]
+
+
+def test_armijo_first_trial_is_bb2():
+    g = np.array([1.0 - 2.0j, 0.5j])
+    # d = g_prev - g = 2g: Re<g_prev, d> / ||d||^2 = 6 / 4
+    assert first_trial(g, 3.0 * g, eta_prev=0.25) == 0.375
+    assert first_trial(g, None, eta_prev=0.25) == 0.5  # no g_prev: the growth rule
+
+
+@pytest.mark.parametrize("grad,g_prev", [
+    (np.ones(3), np.full(3, 0.5)),       # Re<g_prev, g_prev - g> < 0
+    (np.ones(3), np.ones(3)),            # 0 / 0
+    (np.full(3, 1e308), np.full(3, -1e308)),  # g_prev - g overflows to -inf
+], ids=["negative", "zero", "overflow"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_armijo_bb_falls_back_to_growth(grad, g_prev):
+    assert first_trial(grad.astype(complex), g_prev.astype(complex), eta_prev=0.25) == 0.5
+
+
+def test_armijo_bb_trial_is_floored_at_two_backtracks():
+    g_prev = np.array([1.0 + 1.0j, -0.5j])
+    # g = -9 g_prev: d = 10 g_prev, so BB2 = eta_prev / 10 < shrink**2 * eta_prev
+    assert first_trial(-9.0 * g_prev, g_prev, eta_prev=1.0) == 0.25
+
+
+def test_armijo_bb_trial_is_clamped_to_step_cap():
+    g = np.ones(2, dtype=complex)
+    # BB2 = 100 * 4 = 400 > step_cap = 256, while growth * eta_prev = 200 is not
+    assert first_trial(g, 4.0 / 3.0 * g, eta_prev=100.0) == ArmijoConfig().step_cap == 256.0
 
 
 def test_run_descent_nonfinite_start():
@@ -271,20 +326,42 @@ def test_trial_objective_matches_direct_evaluation(data, module):
 
 
 def test_carried_transforms_do_not_drift_over_a_long_descent():
-    # a hard instance (M = 6 of 33) that runs the full 3,000 iterations
+    # a hard instance (M = 6 of 33), 3,000 accepted steps, each gradient line
+    # built from the transforms the previous trial carried; the growth-rule
+    # search (no g_prev) keeps accepting steps that long
     dims = ProblemDims(N=33, L=2, K=3, M=6)
     sig = synthesize(random_model(dims, min_sep=1.5 / 33, seed=0), dims)
     mask = sample_mask(dims, seed=(0, 1))
     obs = weigh_observations(apply_mask(sig, mask), mask)
     init = mhtgd.spectral_init(obs.y, mask, dims, seed=2)
-    out = run_descent(init.stacked(),
-                      lambda state: mhtgd._objective_stacked(state, obs),
-                      lambda state: grad_and_line(mhtgd, state, obs),
-                      lambda h: h / obs.w, SolverConfig(max_iter=3000, tol=1e-300))
-    assert out.iterations == 3000 and out.stop_reason == STOP_MAX_ITER
-    carried = out.state.transforms()
-    fresh = mhtgd._transforms(out.state.z)
+
+    def objective(state):
+        return mhtgd._objective_stacked(state, obs)
+
+    cfg = ArmijoConfig()
+    state, eta = init.stacked(), cfg.step0 / cfg.growth
+    f_curr = objective(state)
+    for _ in range(3000):
+        line, _ = grad_and_line(mhtgd, state, obs)
+        res = armijo_step(state, line, f_curr, objective, cfg, eta)
+        assert res.accepted and isinstance(res.state, Trial)
+        state, f_curr, eta = res.state, res.value, res.eta
+    carried = state.transforms()
+    fresh = mhtgd._transforms(state.z)
     assert np.linalg.norm(carried - fresh) <= 1e-10 * np.linalg.norm(fresh)
+
+
+@pytest.mark.parametrize("master,trial", [
+    (3638739982, 0), (1050108669, 2), (1570542204, 2), (1054474502, 3),
+])
+def test_bb_steps_do_not_stall_into_a_false_convergence(master, trial):
+    # trials of the N=65 L=5 K=4 M=35 cell where unfloored BB2 steps shrank to
+    # about 1e-7 with the gradient norm near 100, and the relative-change rule
+    # stopped as converged at NMSE 0.09-0.27
+    spec = PhaseGridSpec(N=65, L=5, m_values=(35,), k_values=(4,), trials=trial + 1,
+                         method="mhtgd", seed=master)
+    (cell,) = run_phase_grid(spec).cells
+    assert cell.outcomes[trial]
 
 
 EDGE_CASES = {
