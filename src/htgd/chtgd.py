@@ -38,7 +38,7 @@ from .descent import (
     solver_report,
     weigh_observations,
 )
-from .lowrank import takagi_lift_truncated
+from .lowrank import randomized_lift_svd, takagi_vectors
 from .signals import MultichannelSignal, ProblemDims, SamplingMask
 
 __all__ = [
@@ -134,13 +134,16 @@ def grad_g(factors: FactorSetC, y: np.ndarray, mask: SamplingMask,
 
 def spectral_init_ca(y: np.ndarray, mask: SamplingMask, dims: ProblemDims,
                      seed: int = 0) -> FactorSetC:
-    """Rank-K truncated Takagi factors of p^{-1} G(P_mask y_l) per channel."""
+    """Rank-K truncated Takagi factors of p^{-1} G(P_mask y_l) per channel.
+
+    The L channels go through ``lowrank.randomized_lift_svd`` as one
+    (L, 1, N) batch, channel l drawing its probe from the seed (seed, l);
+    ``lowrank.takagi_vectors`` then turns each channel's SVD into Takagi
+    vectors U, and z_l = U S^(1/2).
+    """
     yT = prepare_observed(y, mask, dims).yT
-    z = np.zeros((dims.L, dims.n, dims.K), dtype=complex)
-    for l in range(dims.L):
-        U, s = takagi_lift_truncated(yT[l] / dims.p, dims.K, seed=(seed, l))
-        z[l] = U * np.sqrt(s)
-    return FactorSetC(z=z)
+    U, s, V = randomized_lift_svd(yT[:, None, :] / dims.p, dims.K, seed)
+    return FactorSetC(z=takagi_vectors(U, s, V) * np.sqrt(s)[:, None, :])
 
 
 def solve_chtgd(observations: MultichannelSignal, mask: SamplingMask,

@@ -1,11 +1,20 @@
-"""Truncated SVD and Takagi factorisations for solver initialisation.
+"""Randomized truncated SVD of lifts, and Takagi vectors, for initialisation.
 
-Small lifted matrices (n <= _DENSE_LIMIT) go through a full dense SVD;
-larger ones use a seeded randomized range finder whose products run
-through the FFT fast paths, so no n x n matrix is ever formed.  Both
-paths are deterministic for a fixed seed.  The range finder also takes
-L stacked channels, which is how ``retrieval.esprit`` reduces the
-n x nL matrix of channel lifts.
+``randomized_lift_svd`` is the one lift factorisation of the package: the
+seeded randomized range finder of Halko, Martinsson & Tropp (*Finding
+structure with randomness*, SIAM Review 2011), with every product taken
+through ``operators.fast_lift_mul``, so no n x n matrix is ever formed.
+With r = min(n, K + 8) probe columns the range is exact when r = n. The
+shape of the input picks what is factored:
+
+* the last two axes (L, N) are joined: the result is the SVD of the
+  n x nL matrix E = [G v_1, ..., G v_L], as ``retrieval.esprit`` uses it,
+  and a (N,) input is the same as (1, N);
+* leading axes are independent batch entries, factored by stacked
+  ``np.linalg.qr`` and ``np.linalg.svd`` calls.  Entry i draws its probe
+  from the seed words followed by its index, so a batched call is
+  bit-identical to one call per entry with seed (seed, *i).  The spectral
+  inits factor their L channels as one (L, 1, N) batch this way.
 
 The Takagi factorisation A = U diag(s) U^T of a complex symmetric A is
 recovered from the SVD A = Us diag(s) V^H by the per-column phase
@@ -25,66 +34,54 @@ from scipy.linalg import sqrtm
 from . import operators as ops
 from .signals import make_rng
 
-_DENSE_LIMIT = 384
 _CLUSTER_RTOL = 1e-10
 _OVERSAMPLE = 8
 _POWER_ITERS = 2
 
 
-def truncated_svd(M: np.ndarray, K: int) -> tuple:
-    """Leading-K dense SVD; returns (U (n, K), s (K,), V (n, K))."""
-    U, s, Vh = np.linalg.svd(M, full_matrices=False)
-    return U[:, :K], s[:K], Vh[:K].conj().T
-
-
-def _range_finder_rng(seed):
-    """Deterministic generator from an int seed or a tuple of ints."""
-    if not isinstance(seed, (tuple, list)):
-        seed = (seed,)
-    words = tuple(int(s) & 0xFFFFFFFF for s in seed)
+def _range_finder_rng(words: tuple):
+    """Deterministic generator from a tuple of ints."""
+    words = tuple(int(w) & 0xFFFFFFFF for w in words)
     return make_rng(np.random.SeedSequence(words + (0x5F4D,)))
 
 
 def randomized_lift_svd(v: np.ndarray, K: int, seed) -> tuple:
-    """Truncated SVD of E = [g_apply(v_1), ..., g_apply(v_L)] via a randomized range finder.
+    """Rank-K truncated SVD of E = [g_apply(v_1), ..., g_apply(v_L)] per batch entry.
 
-    ``v`` is one vector (N,) or L stacked channels (L, N); E is n x nL and
-    the right factor comes back stacked the same way, (nL, K).  Every
-    product runs through ``ops.fast_lift_mul``, using that each block M_l
-    is complex symmetric: E^H X = [conj(M_l conj(X))]_l.  A (N,) call and
-    a (1, N) call return bit-identical arrays.
+    ``v`` is (..., L, N), or one vector (N,) taken as (1, N); ``seed`` an
+    int or a tuple of ints.  Returns U (..., n, K), s (..., K) and the
+    right factor stacked like E's columns, V (..., nL, K).  Every product
+    runs through ``ops.fast_lift_mul``, using that each block M_l is
+    complex symmetric: E^H X = [conj(M_l conj(X))]_l.  Raises
+    ``ValueError`` unless 1 <= K <= n.
     """
     v = np.atleast_2d(v)
-    L, N = v.shape
+    batch, (L, N) = v.shape[:-2], v.shape[-2:]
     n = (N + 1) // 2
+    if not 1 <= K <= n:
+        raise ValueError(f"rank K={K} must lie in [1, {n}]")
     r = min(n, K + _OVERSAMPLE)
 
-    def blocks(X):  # [M_l X_l]_l for X (L, n, c), or [M_l X]_l for X (n, c)
+    def blocks(X):  # [M_l X_l]_l for X (..., L, n, c), or [M_l X]_l for X (..., 1, n, c)
         return ops.fast_lift_mul("hankel", v, X)
 
-    def adjoint(Q):  # E^H Q, stacked (nL, c)
-        return np.conj(blocks(Q.conj())).reshape(L * n, -1)
+    def adjoint(Q):  # E^H Q, stacked (..., nL, c)
+        return np.conj(blocks(Q.conj()[..., None, :, :])).reshape(batch + (L * n, -1))
 
-    rng = _range_finder_rng(seed)
-    probe = rng.standard_normal((L, n, r)) + 1j * rng.standard_normal((L, n, r))
-    Q, _ = np.linalg.qr(blocks(probe).sum(axis=0))
+    words = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
+    probe = np.empty(batch + (L, n, r), dtype=complex)
+    for i in np.ndindex(batch):
+        rng = _range_finder_rng(words + i)
+        probe[i] = rng.standard_normal((L, n, r)) + 1j * rng.standard_normal((L, n, r))
+    Q, _ = np.linalg.qr(blocks(probe).sum(axis=-3))
     for _ in range(_POWER_ITERS):
         Z, _ = np.linalg.qr(adjoint(Q))
-        Q, _ = np.linalg.qr(blocks(Z.reshape(L, n, r)).sum(axis=0))
-    B = blocks(Q.conj()).reshape(L * n, r).T  # Q^H E = (E^T conj(Q))^T, r x nL
+        Q, _ = np.linalg.qr(blocks(Z.reshape(batch + (L, n, r))).sum(axis=-3))
+    # Q^H E = (E^T conj(Q))^T, r x nL
+    B = np.swapaxes(blocks(Q.conj()[..., None, :, :]).reshape(batch + (L * n, r)), -1, -2)
     Ub, s, Vh = np.linalg.svd(B, full_matrices=False)
     U = Q @ Ub
-    return U[:, :K], s[:K], Vh[:K].conj().T
-
-
-def lift_truncated_svd(v: np.ndarray, K: int, seed=0) -> tuple:
-    """Truncated SVD of the normalised Hankel lift of ``v``."""
-    n = (v.shape[-1] + 1) // 2
-    if K >= n + 1:
-        raise ValueError(f"rank K={K} exceeds matrix size n={n}")
-    if n <= _DENSE_LIMIT:
-        return truncated_svd(ops.g_apply(v), K)
-    return randomized_lift_svd(v, K, seed)
+    return U[..., :K], s[..., :K], np.swapaxes(Vh[..., :K, :], -1, -2).conj()
 
 
 def _cluster_slices(s: np.ndarray) -> list:
@@ -126,37 +123,19 @@ def _takagi_phase_correct(U: np.ndarray, s: np.ndarray, V: np.ndarray, K: int) -
     return U, used_block
 
 
-def takagi_truncated(A: np.ndarray, K: int) -> tuple:
-    """Rank-K Takagi factors of a complex symmetric matrix.
+def takagi_vectors(U: np.ndarray, s: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Takagi vectors from truncated SVDs (U, s, V) of complex symmetric
+    matrices, each (..., n, K), (..., K), (..., n, K) over leading batch axes.
 
-    Returns (U (n, K), s (K,)) with A ~ U diag(s) U^T, the truncation
-    optimal in Frobenius norm among rank-K symmetric approximants.
+    With them each matrix is approximated by U diag(s) U^T.  Warns once
+    when any entry needed the clustered-values block correction.
     """
-    A = np.asarray(A, dtype=complex)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValueError("expected a square matrix")
-    scale = np.linalg.norm(A)
-    if scale > 0 and np.linalg.norm(A - A.T) > 1e-8 * scale:
-        raise ValueError("matrix is not complex symmetric")
-    if not 1 <= K <= n:
-        raise ValueError(f"rank K={K} must lie in [1, {n}]")
-    U, s, Vh = np.linalg.svd(A)
-    U, used_block = _takagi_phase_correct(U, s, Vh.conj().T, K)
+    out = np.empty_like(U)
+    used_block = False
+    for i in np.ndindex(U.shape[:-2]):
+        out[i], used = _takagi_phase_correct(U[i], s[i], V[i], U.shape[-1])
+        used_block |= used
     if used_block:
         warnings.warn("clustered singular values: used block phase correction",
                       stacklevel=2)
-    return U[:, :K], s[:K]
-
-
-def takagi_lift_truncated(v: np.ndarray, K: int, seed=0) -> tuple:
-    """Rank-K Takagi factors of g_apply(v) without forming it at large n."""
-    n = (v.shape[-1] + 1) // 2
-    if n <= _DENSE_LIMIT:
-        return takagi_truncated(ops.g_apply(v), K)
-    U, s, V = randomized_lift_svd(v, K, seed)
-    U, used_block = _takagi_phase_correct(U, s, V, K)
-    if used_block:
-        warnings.warn("clustered singular values: used block phase correction",
-                      stacklevel=2)
-    return U, s[:K]
+    return out

@@ -46,7 +46,7 @@ from .descent import (
     solver_report,
     weigh_observations,
 )
-from .lowrank import lift_truncated_svd
+from .lowrank import randomized_lift_svd
 from .signals import MultichannelSignal, ProblemDims, SamplingMask
 
 
@@ -171,18 +171,14 @@ def spectral_init(y: np.ndarray, mask: SamplingMask, dims: ProblemDims,
     """Per-channel rank-K truncated SVD of the rescaled lifted observations.
 
     Channel l factorises T_K(p^{-1} G(P_mask y_l)) = U S V^H into
-    z2 = U S^(1/2), z1 = V S^(1/2).
+    z2 = U S^(1/2), z1 = V S^(1/2).  The L channels go through
+    ``lowrank.randomized_lift_svd`` as one (L, 1, N) batch, channel l
+    drawing its probe from the seed (seed, l).
     """
     yT = prepare_observed(y, mask, dims).yT
-    n, K, L = dims.n, dims.K, dims.L
-    z1 = np.zeros((L, n, K), dtype=complex)
-    z2 = np.zeros((L, n, K), dtype=complex)
-    for l in range(L):
-        U, s, V = lift_truncated_svd(yT[l] / dims.p, K, seed=(seed, l))
-        root = np.sqrt(s)
-        z1[l] = V * root
-        z2[l] = U * root
-    return FactorSetM(z1=z1, z2=z2)
+    U, s, V = randomized_lift_svd(yT[:, None, :] / dims.p, dims.K, seed)
+    root = np.sqrt(s)[:, None, :]
+    return FactorSetM(z1=V * root, z2=U * root)
 
 
 def solve_mhtgd(observations: MultichannelSignal, mask: SamplingMask,

@@ -33,10 +33,11 @@ def esprit(x, K: int) -> FrequencyEstimate:
     """Rotational-invariance frequency estimates from the stacked channel lifts.
 
     The K dominant left singular vectors U_s of E = [H x_1, ..., H x_L]
-    (n x nL) come from the seeded randomized range finder of
-    ``lowrank.randomized_lift_svd``: r = K + 8 probe columns (at most n)
-    and two power iterations, every product with E or E^H taken through
-    ``operators.fast_lift_mul`` via H x_l = G(omega * x_l).  The shift
+    (n x nL) come from one joint-mode call of the seeded randomized range
+    finder ``lowrank.randomized_lift_svd`` on the (L, N) channel stack:
+    r = K + 8 probe columns (at most n) and two power iterations, every
+    product with E or E^H taken through ``operators.fast_lift_mul`` via
+    H x_l = G(omega * x_l).  The shift
     equation U_s[:-1] Psi = U_s[1:] is solved in the least-squares sense
     and frequencies are read off the eigenvalue phases of Psi.
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import htgd.operators as ops
 from htgd.chtgd import (
@@ -10,6 +12,7 @@ from htgd.chtgd import (
     spectral_init_ca,
 )
 from htgd.descent import STOP_CONVERGED, SolverConfig, prepare_observed
+from htgd.lowrank import randomized_lift_svd, takagi_vectors
 from htgd.signals import (
     MultichannelSignal,
     ProblemDims,
@@ -95,6 +98,23 @@ def test_spectral_init_is_symmetric_best_rank_k():
         # shared-Gram factor structure: z z^T reproduces a symmetric matrix
         np.testing.assert_allclose(init.z[l] @ init.z[l].T, (init.z[l] @ init.z[l].T).T,
                                    atol=1e-10 * max(s[0], 1.0))
+
+
+# random small lifts often have clustered tails (M = 1 gives rank one)
+@pytest.mark.filterwarnings("ignore:clustered singular values")
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), N=st.integers(3, 80), L=st.integers(1, 4), seed=st.integers(0, 2**31))
+def test_spectral_init_ca_channel_matches_a_single_seeded_call(data, N, L, seed):
+    # one batched call over the channels, channel l seeded with (seed, l)
+    n = (N + 2) // 2  # dims.n for odd and even N
+    K = data.draw(st.integers(1, n - 1), label="K")
+    M = data.draw(st.integers(1, N), label="M")
+    dims, y, mask = random_problem(N, L, K, M, seed=7)
+    yT = prepare_observed(y, mask, dims).yT
+    init = spectral_init_ca(y, mask, dims, seed=seed)
+    for l in range(L):
+        U, s, V = randomized_lift_svd(yT[l] / dims.p, K, seed=(seed, l))
+        np.testing.assert_array_equal(init.z[l], takagi_vectors(U, s, V) * np.sqrt(s))
 
 
 def test_witness_is_stationary_global_minimum():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import htgd.operators as ops
 from htgd.descent import STOP_CONVERGED, SolverConfig, prepare_observed
@@ -10,6 +12,7 @@ from htgd.mhtgd import (
     solve_mhtgd,
     spectral_init,
 )
+from htgd.lowrank import randomized_lift_svd
 from htgd.retrieval import nmse
 from htgd.signals import (
     MultichannelSignal,
@@ -97,6 +100,22 @@ def test_spectral_init_is_best_rank_k_per_channel():
         s = np.linalg.svd(G, compute_uv=False)
         resid = np.linalg.norm(init.z2[l] @ init.z1[l].conj().T - G) ** 2
         assert resid == pytest.approx(np.sum(s[dims.K:] ** 2), rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), N=st.integers(3, 80), L=st.integers(1, 4), seed=st.integers(0, 2**31))
+def test_spectral_init_channel_matches_a_single_seeded_call(data, N, L, seed):
+    # one batched call over the channels, channel l seeded with (seed, l)
+    n = (N + 2) // 2  # dims.n for odd and even N
+    K = data.draw(st.integers(1, n - 1), label="K")
+    M = data.draw(st.integers(1, N), label="M")
+    dims, y, mask = random_problem(N, L, K, M, seed=7)
+    yT = prepare_observed(y, mask, dims).yT
+    init = spectral_init(y, mask, dims, seed=seed)
+    for l in range(L):
+        U, s, V = randomized_lift_svd(yT[l] / dims.p, K, seed=(seed, l))
+        np.testing.assert_array_equal(init.z2[l], U * np.sqrt(s))
+        np.testing.assert_array_equal(init.z1[l], V * np.sqrt(s))
 
 
 def witness_setup(N, L, K, seed, is_ca=False):
