@@ -161,5 +161,5 @@ def solve_chtgd(observations: MultichannelSignal, mask: SamplingMask,
                       lambda state: _objective_stacked(state, obs),
                       lambda state: gradient_line(state, obs, _transforms, _kernel_args,
                                                   _gradient),
-                      lambda h: h / obs.w, cfg)
+                      cfg)
     return solver_report(out, observations.dims, ground_truth)

@@ -35,7 +35,9 @@ samples are rejected up front by :func:`prepare_observed` with
 
 A solver is its factorisation, objective, gradient and factor transforms;
 around them it calls :func:`weigh_observations`, :func:`run_descent`,
-:func:`gradient_line` and :func:`solver_report` from here.
+:func:`gradient_line` and :func:`solver_report` from here.  The gradient
+call hands :func:`run_descent` the line and the signal x = h / omega that
+the state reconstructs, which the stopping rule reads.
 
 Cost of one iteration.  The solvers' lifts G*(A B^H) and W*(C C^H) read
 the factors only through their row FFTs F, which are real-linear in the
@@ -201,8 +203,9 @@ def _as_line(state, grad) -> Line:
 
 def gradient_line(state, obs: Observed, transforms: Callable, kernel_args: Callable,
                   gradient: Callable) -> tuple:
-    """(Line, h) at a state array or an accepted Trial, from a solver's
-    ``transforms(z)``, ``kernel_args(F)`` and ``gradient(z, F, obs)``.
+    """(Line, x) at a state array or an accepted Trial, from a solver's
+    ``transforms(z)``, ``kernel_args(F)`` and ``gradient(z, F, obs)``;
+    x = h0 / omega is the signal the state reconstructs, (L, full_N).
 
     F is fresh for an array and carried for a Trial; FG, of the gradient,
     is the one transform made here.  A trial then costs no FFT: h(eta) =
@@ -221,7 +224,7 @@ def gradient_line(state, obs: Observed, transforms: Callable, kernel_args: Calla
         return Trial(z - eta * grad, h0 - eta * (h1 - eta * h2),
                      hw0 - eta * (hw1 - eta * hw2), F, FG, eta)
 
-    return Line(grad, at), h0
+    return Line(grad, at), h0 / obs.w
 
 
 class ArmijoResult(NamedTuple):
@@ -298,24 +301,23 @@ def _rel_change(x_new: np.ndarray, x_old: np.ndarray) -> float:
 
 def run_descent(state0: np.ndarray,
                 objective: Callable[[np.ndarray], float],
-                grad_and_lift: Callable[[np.ndarray], tuple],
-                lift_to_signal: Callable[[np.ndarray], np.ndarray],
+                grad_and_signal: Callable[[np.ndarray], tuple],
                 cfg: SolverConfig) -> DescentOutcome:
     """Drive the shared loop.
 
-    ``grad_and_lift(state)`` returns (gradient, h) where h is the lifted
-    adjoint vector the reconstruction is read from; ``lift_to_signal(h)``
-    turns it into the signal used for the stopping rule.  The gradient is
-    an array, or a :class:`Line` whose trial points are then the states
-    that ``objective`` and the next ``grad_and_lift`` receive.
+    ``grad_and_signal(state)`` returns (gradient, x) where x is the signal
+    the state reconstructs: the stopping rule compares it between accepted
+    iterates and ``x_hat`` is the last one.  The gradient is an array, or a
+    :class:`Line` whose trial points are then the states that ``objective``
+    and the next ``grad_and_signal`` receive; the solvers pass
+    :func:`gradient_line`, which returns both.
     """
     t_start = time.perf_counter()
     state = state0
     f_curr = objective(state)
     trace = [f_curr]
     iter_seconds: list = []
-    grad, h = grad_and_lift(state)
-    x_curr = lift_to_signal(h)
+    grad, x_curr = grad_and_signal(state)
     if not np.isfinite(f_curr):
         return DescentOutcome(state, x_curr, 0, STOP_NUMERICAL, trace, iter_seconds,
                               time.perf_counter() - t_start)
@@ -334,8 +336,7 @@ def run_descent(state0: np.ndarray,
             stop_reason = STOP_LINE_SEARCH
             break
         state, f_curr, eta_prev, g_prev = res.state, res.value, res.eta, line.grad
-        grad, h = grad_and_lift(state)
-        x_new = lift_to_signal(h)
+        grad, x_new = grad_and_signal(state)
         iters += 1
         trace.append(f_curr)
         iter_seconds.append(time.perf_counter() - t0)

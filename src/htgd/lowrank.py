@@ -53,11 +53,11 @@ def randomized_lift_svd(v: np.ndarray, K: int, seed) -> tuple:
     right factor stacked like E's columns, V (..., nL, K).  Every product
     runs through ``ops.fast_lift_mul``, using that each block M_l is
     complex symmetric: E^H X = [conj(M_l conj(X))]_l.  Raises
-    ``ValueError`` unless 1 <= K <= n.
+    ``ValueError`` unless N is odd and 1 <= K <= n.
     """
     v = np.atleast_2d(v)
     batch, (L, N) = v.shape[:-2], v.shape[-2:]
-    n = (N + 1) // 2
+    n = (ops._check_odd_length(N) + 1) // 2
     if not 1 <= K <= n:
         raise ValueError(f"rank K={K} must lie in [1, {n}]")
     r = min(n, K + _OVERSAMPLE)

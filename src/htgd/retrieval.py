@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -12,7 +11,6 @@ from .errors import NumericalError, RankDeficientError
 from .lowrank import randomized_lift_svd
 
 _RANK_RTOL = 1e-12
-_EXHAUSTIVE_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -81,33 +79,28 @@ def match_frequencies(estimate: np.ndarray, reference: np.ndarray) -> tuple:
     """Pair estimates with references minimising the worst wrap-around error.
 
     Returns ``(pairing, max_err)`` where ``pairing[i]`` is the reference
-    index assigned to ``estimate[i]``.  Exhaustive search up to K = 8;
-    larger sets use the best cyclic alignment of the two sorted lists,
-    which is optimal for order-preserving matchings on the circle.
+    index assigned to ``estimate[i]``.  The pairing is the best of the K
+    cyclic alignments of the two sorted lists, read off a K x K table of
+    wrap distances in O(K^2).  That is optimal among all K! matchings:
+    swapping the partners of two crossing pairs never raises the larger
+    of their two wrap distances, so some non-crossing matching, that is
+    some cyclic alignment, reaches the minimum.  Where several alignments
+    reach it, the first, smallest shift is taken.  Raises ``ValueError``
+    unless both lists hold the same number K >= 1 of values.
     """
     est = np.atleast_1d(np.asarray(estimate, dtype=float))
     ref = np.atleast_1d(np.asarray(reference, dtype=float))
     K = est.size
     if ref.size != K or K == 0:
         raise ValueError(f"need equally sized nonempty lists, got {est.size} and {ref.size}")
-    if K <= _EXHAUSTIVE_LIMIT:
-        best = None
-        for perm in permutations(range(K)):
-            err = float(np.max(wrap_distance(est, ref[list(perm)])))
-            if best is None or err < best[1]:
-                best = (perm, err)
-        return best
     order_e = np.argsort(est)
-    order_r = np.argsort(ref)
-    best = None
-    for shift in range(K):
-        rolled = order_r[(np.arange(K) + shift) % K]
-        err = float(np.max(wrap_distance(est[order_e], ref[rolled])))
-        if best is None or err < best[1]:
-            pairing = np.empty(K, dtype=int)
-            pairing[order_e] = rolled
-            best = (tuple(pairing.tolist()), err)
-    return best
+    # rolled[s] is the sorted reference order rotated by s
+    rolled = np.argsort(ref)[(np.arange(K)[:, None] + np.arange(K)) % K]
+    errs = np.max(wrap_distance(est[order_e], ref[rolled]), axis=1)
+    shift = int(np.argmin(errs))
+    pairing = np.empty(K, dtype=int)
+    pairing[order_e] = rolled[shift]
+    return tuple(pairing.tolist()), float(errs[shift])
 
 
 def nmse(x_hat, x_ref) -> float:

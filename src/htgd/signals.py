@@ -29,8 +29,6 @@ from .errors import GenerationError
 
 _REJECTION_BUDGET = 10_000
 
-SeedLike = "int | np.random.SeedSequence"
-
 
 def make_rng(seed) -> np.random.Generator:
     """Philox generator for an integer seed or a SeedSequence."""

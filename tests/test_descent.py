@@ -134,7 +134,7 @@ def test_solver_config_validation(bad):
 
 def descend_quadratic(alpha, z0, cfg):
     f, g = quadratic(alpha)
-    return run_descent(z0, f, lambda z: (g(z), z), lambda h: h, cfg)
+    return run_descent(z0, f, lambda z: (g(z), z), cfg)
 
 
 def test_run_descent_converges_on_quadratic():
@@ -214,7 +214,7 @@ def test_run_descent_nonfinite_start():
         return np.inf
 
     z0 = np.ones(2, dtype=complex)
-    out = run_descent(z0, f, lambda z: (z, z), lambda h: h, SolverConfig())
+    out = run_descent(z0, f, lambda z: (z, z), SolverConfig())
     assert out.stop_reason == STOP_NUMERICAL
     assert out.iterations == 0
     assert out.x_hat.shape == z0.shape
@@ -226,7 +226,7 @@ def test_run_descent_line_search_failure_reported():
     def f(z):
         return 1.0 if z is z0 else np.nan  # every trial point poisoned
 
-    out = run_descent(z0, f, lambda z: (z, z), lambda h: h,
+    out = run_descent(z0, f, lambda z: (z, z),
                       SolverConfig(armijo=ArmijoConfig(max_backtracks=4)))
     assert out.stop_reason == STOP_LINE_SEARCH
     assert out.iterations == 0
@@ -239,7 +239,7 @@ def test_run_descent_nonfinite_gradient_reported():
         bad[0] = np.nan
         return bad, z
 
-    out = run_descent(np.ones(2, dtype=complex), lambda z: 1.0, g, lambda h: h, SolverConfig())
+    out = run_descent(np.ones(2, dtype=complex), lambda z: 1.0, g, SolverConfig())
     assert out.stop_reason == STOP_NUMERICAL
 
 
@@ -309,7 +309,7 @@ def test_trial_objective_matches_direct_evaluation(data, module):
     y = rng.standard_normal((dims.full_N, L)) + 1j * rng.standard_normal((dims.full_N, L))
     obs = prepare_observed(y, sample_mask(dims, seed=rng.integers(2**32)), dims)
     z = random_state(module, rng, dims)
-    line, h = grad_and_line(module, z, obs)
+    line, _ = grad_and_line(module, z, obs)
     trial = line.at(eta)
     assert isinstance(trial, Trial)
     direct = z - eta * line.grad
@@ -319,10 +319,10 @@ def test_trial_objective_matches_direct_evaluation(data, module):
     F = module._transforms(direct)
     assert np.linalg.norm(trial.transforms() - F) <= 1e-10 * np.linalg.norm(F)
     # the accepted trial's gradient, from carried transforms, is the fresh one
-    g_carried, h_carried = grad_and_line(module, trial, obs)
-    g_fresh, h_fresh = grad_and_line(module, direct, obs)
+    g_carried, x_carried = grad_and_line(module, trial, obs)
+    g_fresh, x_fresh = grad_and_line(module, direct, obs)
     assert np.linalg.norm(g_carried.grad - g_fresh.grad) <= 1e-9 * np.linalg.norm(g_fresh.grad)
-    assert np.linalg.norm(h_carried - h_fresh) <= 1e-10 * np.linalg.norm(h_fresh)
+    assert np.linalg.norm(x_carried - x_fresh) <= 1e-10 * np.linalg.norm(x_fresh)
 
 
 def test_carried_transforms_do_not_drift_over_a_long_descent():

@@ -83,6 +83,13 @@ def test_randomized_rank_must_lie_in_one_to_n(shape):
     assert U.shape == shape[:-1] + (n, n) and V.shape == shape[:-1] + (n * L, n)
 
 
+@pytest.mark.parametrize("N", [2, 4])
+@pytest.mark.parametrize("shape", [(), (3, 2)], ids=["N", "3x2xN"])
+def test_randomized_even_length_names_the_odd_length_rule(shape, N):
+    with pytest.raises(ValueError, match=f"must be odd and positive, got {N}"):
+        randomized_lift_svd(np.ones(shape + (N,), dtype=complex), 1, seed=0)
+
+
 @pytest.mark.parametrize("K", [1, 3])
 def test_randomized_path_matches_dense_on_exact_rank(K):
     n = 48

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -174,19 +176,28 @@ def test_match_rejects_mismatched_sizes():
         match_frequencies([0.1], [0.1, 0.2])
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.floats(0.0, 0.999), min_size=2, max_size=5, unique=True),
-       st.randoms(use_true_random=False))
-def test_match_is_optimal_vs_bruteforce(ref, pyrandom):
-    from itertools import permutations
-
-    ref = np.asarray(ref)
-    est = ref.copy()
-    pyrandom.shuffle(est)
-    _, err = match_frequencies(est, ref)
-    best = min(float(np.max(wrap_distance(est, ref[list(p)])))
+def bruteforce_bottleneck(est, ref):
+    """Oracle: the least worst wrap distance over all K! pairings."""
+    return min(float(np.max(wrap_distance(est, ref[list(p)])))
                for p in permutations(range(len(ref))))
-    assert err == pytest.approx(best)
+
+
+# uniform values, a 1/16 grid (exact ties, duplicates across the lists) and
+# values near 0 and 1, whose best partners lie across the wrap
+frequency = st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                      st.integers(0, 15).map(lambda i: i / 16),
+                      st.floats(0.0, 0.03), st.floats(0.97, 1.0, exclude_max=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda K: st.tuples(st.lists(frequency, min_size=K, max_size=K),
+                                                     st.lists(frequency, min_size=K, max_size=K))))
+def test_match_is_optimal_vs_bruteforce(lists):
+    est, ref = (np.asarray(v) for v in lists)
+    pairing, err = match_frequencies(est, ref)
+    assert sorted(pairing) == list(range(len(ref)))
+    assert err == float(np.max(wrap_distance(est, ref[list(pairing)])))
+    assert err == bruteforce_bottleneck(est, ref)
 
 
 def test_round_trip_model_to_frequencies():
