@@ -20,8 +20,11 @@ The Takagi factorisation A = U diag(s) U^T of a complex symmetric A is
 recovered from the SVD A = Us diag(s) V^H by the per-column phase
 correction U = Us sqrt(diag(Us^H conj(V))).  When singular values
 cluster (gap below _CLUSTER_RTOL * s[0]) that diagonal degenerates to a
-unitary symmetric block B, handled by its principal matrix square root;
-the fallback is reported with a warning.
+unitary symmetric block B, handled by its principal matrix square root
+(``scipy.linalg.sqrtm``); the fallback is reported with a warning.  It is
+the only SciPy use of the package, so SciPy is imported there, on first
+use: importing ``htgd`` and every solve, ESPRIT call and self-test that
+never meets clustered values load numpy only.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.linalg import sqrtm
 
 from . import operators as ops
 from .signals import make_rng
@@ -115,6 +117,8 @@ def _takagi_phase_correct(U: np.ndarray, s: np.ndarray, V: np.ndarray, K: int) -
             d = d / mag if mag > 0 else 1.0
             U[:, sl.start] *= np.sqrt(d)
         else:
+            from scipy.linalg import sqrtm  # deferred: it would double the cold start
+
             B = U[:, sl].conj().T @ V[:, sl].conj()
             B = 0.5 * (B + B.T)  # unitary symmetric up to roundoff
             W = sqrtm(B)
