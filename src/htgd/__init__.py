@@ -8,7 +8,7 @@ are read off the recovered signal with ``esprit``.
 """
 
 from .chtgd import FactorSetC, objective_g, grad_g, solve_chtgd, spectral_init_ca
-from .descent import ArmijoConfig, SolverConfig, SolverReport
+from .descent import SolverConfig, SolverReport
 from .errors import GenerationError, NumericalError, RankDeficientError
 from .experiments import (
     PhaseGridSpec,
@@ -31,7 +31,6 @@ from .signals import (
 )
 
 __all__ = [
-    "ArmijoConfig",
     "SolverConfig",
     "SolverReport",
     "FactorSetC",

@@ -156,10 +156,10 @@ def solve_chtgd(observations: MultichannelSignal, mask: SamplingMask,
     """
     cfg = config if config is not None else SolverConfig()
     obs = weigh_observations(observations, mask)
-    init = spectral_init_ca(obs.y, mask, observations.dims, seed=cfg.seed)
+    init = spectral_init_ca(obs.yT.T, mask, observations.dims, seed=cfg.seed)
     out = run_descent(init.z,
                       lambda state: _objective_stacked(state, obs),
                       lambda state: gradient_line(state, obs, _transforms, _kernel_args,
                                                   _gradient),
                       cfg)
-    return solver_report(out, observations.dims, ground_truth)
+    return solver_report(out, obs.e, observations.dims, ground_truth)

@@ -20,7 +20,6 @@ from . import io as hio
 from .descent import (
     STOP_LINE_SEARCH,
     STOP_NUMERICAL,
-    ArmijoConfig,
     SolverConfig,
 )
 from .errors import GenerationError, NumericalError
@@ -62,27 +61,6 @@ def _read_input(reader, path):
         raise _InputFormatError(str(exc)) from exc
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-6, help="relative-change stopping tolerance")
-    p.add_argument("--max-iter", type=int, default=10_000, help="iteration cap")
-    p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--step0", type=float, default=1.0,
-                   help="first line-search trial of a solve; step0 * growth**8 caps every trial")
-    p.add_argument("--shrink", type=float, default=0.5,
-                   help="backtracking shrink factor; the BB2 trial is at least shrink**2 * eta_prev")
-    p.add_argument("--decrease", type=float, default=1e-4, help="sufficient-decrease constant")
-    p.add_argument("--growth", type=float, default=2.0,
-                   help="fallback warm start growth * eta_prev, where the two-point (BB2) "
-                        "step is undefined")
-    p.add_argument("--max-backtracks", type=int, default=50)
-
-
-def _solver_config(args) -> SolverConfig:
-    armijo = ArmijoConfig(step0=args.step0, shrink=args.shrink, decrease=args.decrease,
-                          growth=args.growth, max_backtracks=args.max_backtracks)
-    return SolverConfig(tol=args.tol, max_iter=args.max_iter, armijo=armijo, seed=args.seed)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="htgd",
@@ -101,7 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--out", type=Path, default=Path("."), help="output directory")
 
-    p_solve = sub.add_parser("solve", help="recover a signal from observed CSV + mask")
+    p_solve = sub.add_parser("solve", help="recover a signal from observed CSV + mask",
+                             description="Data scaled by 2**k give exactly 2**k times the "
+                                         "signal: there are no step sizes to set.")
     p_solve.add_argument("--observed", type=Path, required=True, help="observed signal CSV")
     p_solve.add_argument("--mask", type=Path, required=True, help="mask JSON")
     p_solve.add_argument("-K", type=int, required=True, help="model order")
@@ -110,7 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--ground-truth", type=Path, help="full signal CSV for NMSE")
     p_solve.add_argument("--model", type=Path, help="model JSON; prints max wrap error with --freqs")
     p_solve.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    _add_solver_flags(p_solve)
+    p_solve.add_argument("--tol", type=float, default=1e-6, help="relative-change stopping tolerance")
+    p_solve.add_argument("--max-iter", type=int, default=10_000, help="iteration cap")
+    p_solve.add_argument("--seed", type=int, default=0, help="master seed")
 
     p_exp = sub.add_parser("experiment", help="run a Monte Carlo scan from a spec file")
     p_exp.add_argument("kind", choices=("phase", "timing"))
@@ -160,7 +142,8 @@ def cmd_solve(args) -> int:
     if args.ground_truth is not None:
         truth = MultichannelSignal(data=_read_input(hio.read_signal_csv, args.ground_truth),
                                    dims=dims)
-    report = solver_for(args.method)(observations, mask, _solver_config(args), ground_truth=truth)
+    cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter, seed=args.seed)
+    report = solver_for(args.method)(observations, mask, cfg, ground_truth=truth)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     print(hio.write_signal_csv(out / "recovered.csv", report.x_hat))

@@ -3,17 +3,17 @@
 The iteration is Z <- Z - eta * grad with eta from an Armijo search:
 accept the first eta with
 
-    f(Z - eta * G) <= f(Z) - c * eta * ||G||_F^2,
+    f(Z - eta * G) <= f(Z) - DECREASE * eta * ||G||_F^2,
 
-shrinking eta by ``shrink`` up to ``max_backtracks`` times.  The first
-search starts at ``step0``; every later one starts at the two-point
+shrinking eta by ``SHRINK`` up to ``MAX_BACKTRACKS`` times.  The first
+search starts at ``STEP0``; every later one starts at the two-point
 (Barzilai-Borwein, BB2) step of the last accepted step eta_prev and the
 last two gradients, with d = G_prev - G,
 
-    eta0 = min(max(eta_prev * Re<G_prev, d> / ||d||^2, shrink**2 * eta_prev),
-               step0 * growth**8),
+    eta0 = min(max(eta_prev * Re<G_prev, d> / ||d||^2, SHRINK**2 * eta_prev),
+               STEP_CAP),         STEP_CAP = STEP0 * GROWTH**8,
 
-and falls back to min(growth * eta_prev, step0 * growth**8) when that
+and falls back to min(GROWTH * eta_prev, STEP_CAP) when that
 quotient has no finite positive numerator and denominator.  BB2 follows
 the local curvature, so most first trials are accepted: a search takes
 about 1.3-1.5 objective evaluations per iteration, against about 2 for
@@ -25,6 +25,10 @@ gradient stayed large, and the relative-change rule then stopped the
 descent as converged far from a minimiser (4 of 2,800 trials at N=65,
 L=5, K=4, M=35; none with the floor).  A single step size is shared by all channels; the
 state is one stacked complex array, or a :class:`Trial` that holds it.
+The steps are absolute, so :func:`weigh_observations` divides the data by
+2**e, e = round(log2(RMS / sqrt(K))) of the observed samples, and
+:func:`solver_report` scales back; powers of two are exact, so a solve of
+2**k x runs the descent of x bit for bit.
 
 Stopping: relative change of the reconstructed signal between accepted
 iterates falls below ``tol``, or ``max_iter`` accepted steps.  Exhausted
@@ -53,7 +57,7 @@ transforms F - eta FG to the next gradient call.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -69,32 +73,18 @@ STOP_LINE_SEARCH = "line_search_failure"
 STOP_NUMERICAL = "numerical_failure"
 
 
-@dataclass(frozen=True)
-class ArmijoConfig:
-    step0: float = 1.0
-    shrink: float = 0.5
-    decrease: float = 1e-4
-    growth: float = 2.0
-    max_backtracks: int = 50
-
-    def __post_init__(self):
-        if not (0 < self.shrink < 1):
-            raise ValueError("shrink must lie in (0, 1)")
-        if not (0 < self.decrease < 1):
-            raise ValueError("decrease must lie in (0, 1)")
-        if self.growth < 1 or self.step0 <= 0 or self.max_backtracks < 1:
-            raise ValueError("growth >= 1, step0 > 0, max_backtracks >= 1 required")
-
-    @property
-    def step_cap(self) -> float:
-        return self.step0 * self.growth**8
+STEP0 = 1.0
+SHRINK = 0.5
+DECREASE = 1e-4
+GROWTH = 2.0
+MAX_BACKTRACKS = 50
+STEP_CAP = STEP0 * GROWTH**8
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     tol: float = 1e-6
     max_iter: int = 10_000
-    armijo: ArmijoConfig = field(default_factory=ArmijoConfig)
     seed: int = 0
 
     def __post_init__(self):
@@ -122,11 +112,11 @@ class SolverReport:
 class Observed(NamedTuple):
     """Weighted observations in the layout both objectives read."""
 
-    y: np.ndarray      # (full_N, L): omega * x, x zero-padded to odd length
-    yT: np.ndarray     # (L, full_N): y^T on the mask, zero elsewhere
+    yT: np.ndarray     # (L, full_N): omega * x / 2**e on the mask, zero elsewhere
     maskb: np.ndarray  # (full_N,) bool
     p: float           # M / full_N
     w: np.ndarray      # omega, (full_N,)
+    e: int = 0         # the data are the user's divided by 2**e
 
 
 def prepare_observed(y: np.ndarray, mask: SamplingMask, dims: ProblemDims) -> Observed:
@@ -149,18 +139,26 @@ def prepare_observed(y: np.ndarray, mask: SamplingMask, dims: ProblemDims) -> Ob
         finite = np.all(np.isfinite(yT / dims.p))
     if not finite:
         raise NumericalError("observed samples contain NaN or inf (after weighting by omega / p)")
-    return Observed(y, yT, maskb, dims.p, ops.weight_vector(dims.full_N).omega)
+    return Observed(yT, maskb, dims.p, ops.weight_vector(dims.full_N).omega)
 
 
 def weigh_observations(observations: MultichannelSignal, mask: SamplingMask) -> Observed:
-    """:func:`prepare_observed` on omega * x, with x zero-padded to odd length."""
+    """:func:`prepare_observed` on omega * x (x zero-padded to odd length), then / 2**e."""
     dims = observations.dims
     w = ops.weight_vector(dims.full_N).omega
     x_int = np.zeros((dims.L, dims.full_N), dtype=complex)
     x_int[:, :dims.N] = observations.data.T
     with np.errstate(over="ignore", invalid="ignore"):  # inf on the mask: reported below
         y = w * x_int
-    return prepare_observed(y.T, mask, dims)
+    obs = prepare_observed(y.T, mask, dims)  # the check sees the user's scale
+    # e = round(log2(RMS / sqrt(K))), exactly, so e(2**k x) = e(x) + k: xs = x / 2**top has
+    # mean square / K = m 2**q, m in [1/2, 1), so log2 RMS in [(q-1)/2, q/2) rounds to q // 2
+    x = observations.data[mask.indices - 1]
+    top = ops.top_exponent(x)
+    xs = ops.ldexp(x, -top)
+    e = top + int(np.frexp(np.vdot(xs, xs).real / (xs.size * dims.K))[1]) // 2
+    yT = ops.ldexp(obs.yT, -e)
+    return obs._replace(yT=yT, e=e)
 
 
 class Trial(NamedTuple):
@@ -234,50 +232,48 @@ class ArmijoResult(NamedTuple):
     value: float
 
 
-def _first_trial(grad: np.ndarray, g_prev: Optional[np.ndarray], cfg: ArmijoConfig,
-                 eta_prev: float) -> float:
+def _first_trial(grad: np.ndarray, g_prev: Optional[np.ndarray], eta_prev: float) -> float:
     """BB2 from ``eta_prev`` and the gradients ``g_prev`` -> ``grad``, at least
-    shrink**2 * eta_prev and at most ``step_cap``; growth * eta_prev, capped,
+    SHRINK**2 * eta_prev and at most STEP_CAP; GROWTH * eta_prev, capped,
     when there is no ``g_prev`` or the quotient has no finite positive
     numerator and denominator."""
-    eta = cfg.growth * eta_prev
+    eta = GROWTH * eta_prev
     if g_prev is not None:
         with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: growth rule
             d = g_prev - grad
             num = float(np.vdot(g_prev, d).real)
             den = float(np.vdot(d, d).real)
         if 0.0 < num < np.inf and 0.0 < den < np.inf:
-            eta = max(eta_prev * (num / den), cfg.shrink**2 * eta_prev)
-    return min(eta, cfg.step_cap)
+            eta = max(eta_prev * (num / den), SHRINK**2 * eta_prev)
+    return min(eta, STEP_CAP)
 
 
 def armijo_step(state, grad, f_curr: float,
-                objective: Callable[[object], float],
-                cfg: ArmijoConfig, eta_prev: float,
+                objective: Callable[[object], float], eta_prev: float,
                 g_prev: Optional[np.ndarray] = None) -> ArmijoResult:
     """One backtracking step from the warm-started trial size.
 
     ``grad`` is a gradient array or a :class:`Line`; every trial point goes
     through ``objective``.  The first trial is the floored BB2 step from
     ``eta_prev`` and the previous accepted iterate's gradient ``g_prev``,
-    or min(growth * eta_prev, step_cap) without one (see the module
+    or min(GROWTH * eta_prev, STEP_CAP) without one (see the module
     docstring); ``run_descent`` passes ``g_prev`` from its second search
     on.  A zero gradient is accepted immediately with the state
-    unchanged.  ``accepted=False`` means ``max_backtracks`` shrinks never
+    unchanged.  ``accepted=False`` means MAX_BACKTRACKS shrinks never
     met the sufficient-decrease condition.
     """
     line = _as_line(state, grad)
     gnorm_sq = float(np.vdot(line.grad, line.grad).real)
-    eta = _first_trial(line.grad, g_prev, cfg, eta_prev)
+    eta = _first_trial(line.grad, g_prev, eta_prev)
     if gnorm_sq == 0.0:
         return ArmijoResult(True, eta, state, f_curr)
-    for _ in range(cfg.max_backtracks):
+    for _ in range(MAX_BACKTRACKS):
         cand = line.at(eta)
         f_new = objective(cand)
         # NaN fails the comparison and keeps shrinking
-        if f_new <= f_curr - cfg.decrease * eta * gnorm_sq:
+        if f_new <= f_curr - DECREASE * eta * gnorm_sq:
             return ArmijoResult(True, eta, cand, f_new)
-        eta *= cfg.shrink
+        eta *= SHRINK
     return ArmijoResult(False, eta, state, f_curr)
 
 
@@ -321,7 +317,7 @@ def run_descent(state0: np.ndarray,
     if not np.isfinite(f_curr):
         return DescentOutcome(state, x_curr, 0, STOP_NUMERICAL, trace, iter_seconds,
                               time.perf_counter() - t_start)
-    eta_prev = cfg.armijo.step0 / cfg.armijo.growth  # first trial is exactly step0
+    eta_prev = STEP0 / GROWTH  # first trial is exactly STEP0
     g_prev = None
     stop_reason = STOP_MAX_ITER
     iters = 0
@@ -331,7 +327,7 @@ def run_descent(state0: np.ndarray,
         if not np.all(np.isfinite(line.grad)):
             stop_reason = STOP_NUMERICAL
             break
-        res = armijo_step(state, line, f_curr, objective, cfg.armijo, eta_prev, g_prev)
+        res = armijo_step(state, line, f_curr, objective, eta_prev, g_prev)
         if not res.accepted:
             stop_reason = STOP_LINE_SEARCH
             break
@@ -349,16 +345,17 @@ def run_descent(state0: np.ndarray,
                           time.perf_counter() - t_start)
 
 
-def solver_report(out: DescentOutcome, dims: ProblemDims,
+def solver_report(out: DescentOutcome, e: int, dims: ProblemDims,
                   ground_truth: MultichannelSignal | None = None) -> SolverReport:
-    """``out`` with x_hat trimmed to the user's N rows, plus NMSE against
-    ``ground_truth`` when one is given."""
-    x_hat = out.x_hat.T[:dims.N].copy()
+    """``out`` of a descent on data / 2**e at the user's scale, with x_hat trimmed
+    to the user's N rows, plus NMSE against ``ground_truth`` when one is given."""
+    x_hat = ops.ldexp(out.x_hat.T[:dims.N], e)
+    trace = ops.ldexp(out.objective_trace, 2 * e).tolist()
     return SolverReport(
         x_hat=x_hat,
         iterations=out.iterations,
         stop_reason=out.stop_reason,
-        objective_trace=out.objective_trace,
+        objective_trace=trace,
         iter_seconds=out.iter_seconds,
         total_seconds=out.total_seconds,
         nmse=None if ground_truth is None else nmse(x_hat, ground_truth.data),

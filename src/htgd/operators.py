@@ -27,7 +27,7 @@ caller already holds, as both solvers run them) and ``line_adjoints``
 line search needs no FFT).  ``fast_lift_mul`` and ``fast_adjoint_lowrank``
 are compositions of ``row_transforms`` with the same kernel code.  The
 dense lifts are the reference implementations used by tests and the
-self-test command.
+self-test command.  ``top_exponent`` and ``ldexp`` scale by powers of two.
 """
 
 from __future__ import annotations
@@ -71,6 +71,20 @@ def weight_vector(N: int) -> WeightVector:
 def fft_length(n: int) -> int:
     """Smallest power of two >= 2n; cyclic convolutions of this length are alias-free here."""
     return 1 << (2 * int(n) - 1).bit_length()
+
+
+def top_exponent(a) -> int:
+    """The e with the largest real or imaginary part of ``a`` / 2**e in [1/2, 1);
+    ``a`` is float64 or complex128, as for :func:`ldexp`."""
+    return int(np.frexp(np.max(np.abs(np.ascontiguousarray(a).view(np.float64)), initial=0.0))[1])
+
+
+def ldexp(a, e: int) -> np.ndarray:
+    """a * 2**e part by part, for a float64 or complex128 array: exact in the
+    normal range, inf past it, and no warning for an inf or NaN part."""
+    a = np.ascontiguousarray(a)
+    with np.errstate(over="ignore"):
+        return np.ldexp(a.view(np.float64), e).view(a.dtype)
 
 
 # ---------- dense lifts (reference implementations) ----------

@@ -109,6 +109,8 @@ def nmse(x_hat, x_ref) -> float:
     b = _signal_array(x_ref)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    top = ops.top_exponent(b)
+    a, b = ops.ldexp(a, -top), ops.ldexp(b, -top)  # exact, and the norms stay in range
     denom = np.linalg.norm(b) ** 2
     if denom == 0.0:
         raise ValueError("reference signal is identically zero")

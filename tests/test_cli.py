@@ -142,6 +142,26 @@ def test_solve_csv_with_a_missing_row_is_io_error(tmp_path, capsys):
     assert "missing" in capsys.readouterr().err
 
 
+def test_solve_at_a_tiny_scale_converges(tmp_path, capsys):
+    out = synth_dir(tmp_path)
+    for name in ("observed.csv", "signal.csv"):
+        hio.write_signal_csv(out / name, 1e-160 * hio.read_signal_csv(out / name))
+    code = run_cli("solve", "--observed", out / "observed.csv", "--mask", out / "mask.json",
+                   "-K", 2, "--ground-truth", out / "signal.csv", "--out", tmp_path / "sol")
+    assert code == EXIT_OK
+    printed = capsys.readouterr().out
+    assert "stop reason: converged" in printed
+    assert json.loads((tmp_path / "sol" / "report.json").read_text())["nmse"] <= 1e-6
+
+
+def test_solve_has_no_step_size_flags(tmp_path):
+    out = synth_dir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("solve", "--observed", out / "observed.csv", "--mask", out / "mask.json",
+                "-K", 2, "--step0", 1)
+    assert exc.value.code == EXIT_USAGE
+
+
 def test_solve_unknown_method_is_usage_error(tmp_path):
     out = synth_dir(tmp_path)
     with pytest.raises(SystemExit) as exc:

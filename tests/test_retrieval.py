@@ -217,3 +217,13 @@ def test_nmse_basics():
         nmse(a, np.zeros_like(a))
     with pytest.raises(ValueError):
         nmse(a, np.ones((3, 2)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k", [600, -600])
+def test_nmse_is_scale_free(k):
+    # the squared norms at 2**600 overflow and at 2**-600 underflow
+    rng = np.random.default_rng(4)
+    b = rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3))
+    a = b + 1e-3 * rng.standard_normal((9, 3))
+    assert nmse(ops.ldexp(a, k), ops.ldexp(b, k)) == nmse(a, b)
