@@ -11,13 +11,13 @@ second factor:
     + 1/4 || (I - W W*)(Z^1 Z^{1,H}) ||_F^2
     + 1/4 sum_{l >= 2} || Z^1 Z^{1,H} - Z^l Z^{l,H} ||_F^2
 
-with channel 1 anchoring the Toeplitz structure penalty.  Evaluation,
-gradients and the line search (``descent.gradient_line``) run through
-the same ``operators`` kernels as the two-factor solver; the gradient is
-again the conjugate Wirtinger derivative, so directional derivatives
-equal 2 Re<grad, D>.
+with channel 1 anchoring the Toeplitz structure penalty.  Evaluation at
+a ``descent.Trial`` (``descent.start_point``), gradients and the line
+search (``descent.gradient_line``) run through the same ``operators``
+kernels as the two-factor solver; the gradient is again the conjugate
+Wirtinger derivative, so directional derivatives equal 2 Re<grad, D>.
 
-State layout: one complex array of shape (L, n, K).
+State layout: a Trial's z, one complex array of shape (L, n, K).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .descent import (
     prepare_observed,
     run_descent,
     solver_report,
+    start_point,
     weigh_observations,
 )
 from .lowrank import randomized_lift_svd, takagi_vectors
@@ -74,11 +75,8 @@ def _kernel_args(FZ):
     return FZ, FZ, FZ[:1]
 
 
-def _objective_stacked(z, obs: Observed):
-    if isinstance(z, Trial):
-        z, h, hw = z.z, z.h, z.hw
-    else:
-        h, hw = ops.adjoints_from_transforms(*_kernel_args(_transforms(z)), z.shape[1])
+def _objective_stacked(t: Trial, obs: Observed):
+    z, h, hw = t.z, t.h, t.hw
     L, n, _ = z.shape
     resid = np.where(obs.maskb, h - obs.yT, 0.0)
     t1 = np.sum(np.abs(resid) ** 2) / (4.0 * obs.p)
@@ -122,7 +120,8 @@ def _gradient(z, FZ, obs: Observed):
 def objective_g(factors: FactorSetC, y: np.ndarray, mask: SamplingMask,
                 dims: ProblemDims) -> float:
     """Objective value; ``y`` is the weighted signal, (full_N, L)."""
-    return _objective_stacked(factors.z, prepare_observed(y, mask, dims))
+    obs = prepare_observed(y, mask, dims)
+    return _objective_stacked(start_point(factors.z, obs, _transforms, _kernel_args), obs)
 
 
 def grad_g(factors: FactorSetC, y: np.ndarray, mask: SamplingMask,
@@ -157,7 +156,7 @@ def solve_chtgd(observations: MultichannelSignal, mask: SamplingMask,
     cfg = config if config is not None else SolverConfig()
     obs = weigh_observations(observations, mask)
     init = spectral_init_ca(obs.yT.T, mask, observations.dims, seed=cfg.seed)
-    out = run_descent(init.z,
+    out = run_descent(start_point(init.z, obs, _transforms, _kernel_args),
                       lambda state: _objective_stacked(state, obs),
                       lambda state: gradient_line(state, obs, _transforms, _kernel_args,
                                                   _gradient),

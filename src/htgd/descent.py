@@ -24,7 +24,7 @@ fallbacks shrank the step geometrically to about 1e-7 while the
 gradient stayed large, and the relative-change rule then stopped the
 descent as converged far from a minimiser (4 of 2,800 trials at N=65,
 L=5, K=4, M=35; none with the floor).  A single step size is shared by all channels; the
-state is one stacked complex array, or a :class:`Trial` that holds it.
+state is a :class:`Trial`, which holds one stacked complex array.
 The steps are absolute, so :func:`weigh_observations` divides the data by
 2**e, e = round(log2(RMS / sqrt(K))) of the observed samples, and
 :func:`solver_report` scales back; powers of two are exact, so a solve of
@@ -38,10 +38,11 @@ samples are rejected up front by :func:`prepare_observed` with
 ``NumericalError``.
 
 A solver is its factorisation, objective, gradient and factor transforms;
-around them it calls :func:`weigh_observations`, :func:`run_descent`,
-:func:`gradient_line` and :func:`solver_report` from here.  The gradient
-call hands :func:`run_descent` the line and the signal x = h / omega that
-the state reconstructs, which the stopping rule reads.
+around them it calls :func:`weigh_observations`, :func:`start_point`,
+:func:`run_descent`, :func:`gradient_line` and :func:`solver_report` from
+here.  :func:`start_point` transforms the start state once into a Trial.
+The gradient call hands :func:`run_descent` the line and the signal
+x = h / omega that the state reconstructs, which the stopping rule reads.
 
 Cost of one iteration.  The solvers' lifts G*(A B^H) and W*(C C^H) read
 the factors only through their row FFTs F, which are real-linear in the
@@ -166,7 +167,9 @@ class Trial(NamedTuple):
 
     ``h`` and ``hw`` are the solver's lifts there; its factor transforms
     are the carried ``F - eta * FG``, formed by :meth:`transforms` only
-    when the trial is accepted and the next gradient needs them.
+    when the trial is accepted and the next gradient needs them.  A start
+    point (:func:`start_point`) has FG = 0 and eta = 0, so its transforms
+    are F itself.
     """
 
     z: np.ndarray
@@ -180,39 +183,37 @@ class Trial(NamedTuple):
         return self.F - self.eta * self.FG
 
 
+def start_point(z: np.ndarray, obs: Observed, transforms: Callable,
+                kernel_args: Callable) -> Trial:
+    """The Trial at the state array ``z``: its transforms F, made here, and the
+    lifts (h, hw) from them, with a zero step so that ``transforms()`` is F."""
+    F = transforms(z)
+    h, hw = ops.adjoints_from_transforms(*kernel_args(F), (len(obs.w) + 1) // 2)
+    return Trial(z, h, hw, F, 0, 0.0)
+
+
 class Line(NamedTuple):
     """A gradient ``grad`` and ``at(eta)``, the trial point state - eta * grad.
 
-    A gradient callable may return a Line in place of a plain gradient
-    array when it knows a cheaper form of its trial points than the array
-    difference (see :func:`gradient_line`).
+    :func:`gradient_line` builds it with Trial points that carry their
+    lifts, so a trial costs no FFT.
     """
 
     grad: np.ndarray
     at: Callable[[float], object]
 
 
-def _as_line(state, grad) -> Line:
-    """``grad`` itself if it is a Line, else the line of the plain array difference."""
-    if isinstance(grad, Line):
-        return grad
-    return Line(grad, lambda eta: state - eta * grad)
-
-
-def gradient_line(state, obs: Observed, transforms: Callable, kernel_args: Callable,
+def gradient_line(state: Trial, obs: Observed, transforms: Callable, kernel_args: Callable,
                   gradient: Callable) -> tuple:
-    """(Line, x) at a state array or an accepted Trial, from a solver's
-    ``transforms(z)``, ``kernel_args(F)`` and ``gradient(z, F, obs)``;
-    x = h0 / omega is the signal the state reconstructs, (L, full_N).
+    """(Line, x) at the Trial ``state``, from a solver's ``transforms(z)``,
+    ``kernel_args(F)`` and ``gradient(z, F, obs)``; x = h0 / omega is the
+    signal the state reconstructs, (L, full_N).
 
-    F is fresh for an array and carried for a Trial; FG, of the gradient,
-    is the one transform made here.  A trial then costs no FFT: h(eta) =
-    h0 - eta h1 + eta^2 h2, and the same for hw (:func:`operators.line_adjoints`).
+    F is the one the Trial carries; FG, of the gradient, is the one
+    transform made here.  A trial then costs no FFT: h(eta) = h0 - eta h1 +
+    eta^2 h2, and the same for hw (:func:`operators.line_adjoints`).
     """
-    if isinstance(state, Trial):
-        z, F = state.z, state.transforms()
-    else:
-        z, F = state, transforms(state)
+    z, F = state.z, state.transforms()
     grad, h0, hw0 = gradient(z, F, obs)
     FG = transforms(grad)
     h1, h2, hw1, hw2 = ops.line_adjoints(*kernel_args(F), *kernel_args(FG),
@@ -248,21 +249,20 @@ def _first_trial(grad: np.ndarray, g_prev: Optional[np.ndarray], eta_prev: float
     return min(eta, STEP_CAP)
 
 
-def armijo_step(state, grad, f_curr: float,
+def armijo_step(state, line: Line, f_curr: float,
                 objective: Callable[[object], float], eta_prev: float,
                 g_prev: Optional[np.ndarray] = None) -> ArmijoResult:
     """One backtracking step from the warm-started trial size.
 
-    ``grad`` is a gradient array or a :class:`Line`; every trial point goes
-    through ``objective``.  The first trial is the floored BB2 step from
-    ``eta_prev`` and the previous accepted iterate's gradient ``g_prev``,
-    or min(GROWTH * eta_prev, STEP_CAP) without one (see the module
-    docstring); ``run_descent`` passes ``g_prev`` from its second search
-    on.  A zero gradient is accepted immediately with the state
-    unchanged.  ``accepted=False`` means MAX_BACKTRACKS shrinks never
-    met the sufficient-decrease condition.
+    Every trial point ``line.at(eta)`` goes through ``objective``.  The
+    first trial is the floored BB2 step from ``eta_prev`` and the previous
+    accepted iterate's gradient ``g_prev``, or min(GROWTH * eta_prev,
+    STEP_CAP) without one (see the module docstring); ``run_descent``
+    passes ``g_prev`` from its second search on.  A zero gradient is
+    accepted immediately with ``state`` unchanged.  ``accepted=False``
+    means MAX_BACKTRACKS shrinks never met the sufficient-decrease
+    condition.
     """
-    line = _as_line(state, grad)
     gnorm_sq = float(np.vdot(line.grad, line.grad).real)
     eta = _first_trial(line.grad, g_prev, eta_prev)
     if gnorm_sq == 0.0:
@@ -295,25 +295,25 @@ def _rel_change(x_new: np.ndarray, x_old: np.ndarray) -> float:
     return float(diff / denom)
 
 
-def run_descent(state0: np.ndarray,
-                objective: Callable[[np.ndarray], float],
-                grad_and_signal: Callable[[np.ndarray], tuple],
+def run_descent(state: Trial,
+                objective: Callable[[Trial], float],
+                grad_and_signal: Callable[[Trial], tuple],
                 cfg: SolverConfig) -> DescentOutcome:
-    """Drive the shared loop.
+    """Drive the shared loop from ``state``, a :func:`start_point`.
 
-    ``grad_and_signal(state)`` returns (gradient, x) where x is the signal
-    the state reconstructs: the stopping rule compares it between accepted
-    iterates and ``x_hat`` is the last one.  The gradient is an array, or a
-    :class:`Line` whose trial points are then the states that ``objective``
-    and the next ``grad_and_signal`` receive; the solvers pass
-    :func:`gradient_line`, which returns both.
+    ``grad_and_signal(state)`` returns (Line, x) where x is the signal the
+    state reconstructs: the stopping rule compares it between accepted
+    iterates and ``x_hat`` is the last one.  The Line's trial points are
+    the states that ``objective`` and the next ``grad_and_signal`` receive;
+    the solvers pass :func:`gradient_line`, which returns both.  The start
+    point is held only as ``state``, so its transforms are freed once the
+    first step is accepted.
     """
     t_start = time.perf_counter()
-    state = state0
     f_curr = objective(state)
     trace = [f_curr]
     iter_seconds: list = []
-    grad, x_curr = grad_and_signal(state)
+    line, x_curr = grad_and_signal(state)
     if not np.isfinite(f_curr):
         return DescentOutcome(state, x_curr, 0, STOP_NUMERICAL, trace, iter_seconds,
                               time.perf_counter() - t_start)
@@ -323,7 +323,6 @@ def run_descent(state0: np.ndarray,
     iters = 0
     for _ in range(cfg.max_iter):
         t0 = time.perf_counter()
-        line = _as_line(state, grad)
         if not np.all(np.isfinite(line.grad)):
             stop_reason = STOP_NUMERICAL
             break
@@ -332,7 +331,7 @@ def run_descent(state0: np.ndarray,
             stop_reason = STOP_LINE_SEARCH
             break
         state, f_curr, eta_prev, g_prev = res.state, res.value, res.eta, line.grad
-        grad, x_new = grad_and_signal(state)
+        line, x_new = grad_and_signal(state)
         iters += 1
         trace.append(f_curr)
         iter_seconds.append(time.perf_counter() - t0)

@@ -4,6 +4,7 @@ Signal CSV: header `j,channel,re,im`, one row per (sample, channel),
 j 1-based, channel 1-based, rows ordered channel-major within sample.
 Mask JSON: array of 1-based sample indices plus the covered length.
 Model JSON: freqs (K), amps (K x L), phases (K x L), is_ca.
+Report JSON is strict: a non-finite float is written as null.
 All writers are deterministic: fixed float repr, no timestamps.
 """
 
@@ -83,14 +84,19 @@ def write_mask_json(path, mask: SamplingMask) -> Path:
 
 
 def read_mask_json(path) -> SamplingMask:
-    payload = json.loads(Path(path).read_text())
-    if isinstance(payload, list):  # bare array form
-        indices = payload
-        N = max(indices) if indices else 0
-    else:
-        indices = payload["indices"]
-        N = payload.get("N", max(indices) if indices else 0)
-    return SamplingMask(indices=np.asarray(indices, dtype=int), N=int(N))
+    """Read a mask written by ``write_mask_json``, or a bare array of indices;
+    a file that holds no valid mask raises ``ValueError`` naming ``path``."""
+    try:
+        payload = json.loads(Path(path).read_text())
+        if isinstance(payload, list):  # bare array form
+            indices, N = np.asarray(payload, dtype=int), None
+        else:
+            indices, N = np.asarray(payload["indices"], dtype=int), payload.get("N")
+        return SamplingMask(indices=indices, N=int(indices.max(initial=0) if N is None else N))
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing mask field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed mask: {exc}") from exc
 
 
 def write_model_json(path, model: SpectralModel, meta: dict | None = None) -> Path:
@@ -108,8 +114,10 @@ def write_model_json(path, model: SpectralModel, meta: dict | None = None) -> Pa
 
 
 def read_model_json(path) -> SpectralModel:
-    payload = json.loads(Path(path).read_text())
+    """Read a model written by ``write_model_json``; a file that holds no valid
+    model raises ``ValueError`` naming ``path``."""
     try:
+        payload = json.loads(Path(path).read_text())
         return SpectralModel(
             freqs=np.asarray(payload["freqs"], dtype=float),
             amps=np.asarray(payload["amps"], dtype=float),
@@ -118,23 +126,32 @@ def read_model_json(path) -> SpectralModel:
         )
     except KeyError as exc:
         raise ValueError(f"{path}: missing model field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed model: {exc}") from exc
+
+
+def _json_float(v):
+    """``v`` as a float, or None (JSON null) when it is not finite."""
+    v = float(v)
+    return v if np.isfinite(v) else None
 
 
 def write_report_json(path, report: SolverReport, method: str | None = None) -> Path:
+    """Strict JSON: a non-finite value (an objective past the float range) is null."""
     path = Path(path)
     payload = {
         "iterations": int(report.iterations),
         "stop_reason": report.stop_reason,
         "converged": bool(report.converged),
-        "objective_trace": [float(v) for v in report.objective_trace],
-        "total_seconds": float(report.total_seconds),
-        "iter_seconds": [float(v) for v in report.iter_seconds],
+        "objective_trace": [_json_float(v) for v in report.objective_trace],
+        "total_seconds": _json_float(report.total_seconds),
+        "iter_seconds": [_json_float(v) for v in report.iter_seconds],
     }
     if method is not None:
         payload["method"] = method
     if report.nmse is not None:
-        payload["nmse"] = float(report.nmse)
-    path.write_text(json.dumps(payload, indent=1) + "\n")
+        payload["nmse"] = _json_float(report.nmse)
+    path.write_text(json.dumps(payload, indent=1, allow_nan=False) + "\n")
     return path
 
 

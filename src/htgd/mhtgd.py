@@ -13,19 +13,20 @@ objective sums over channels
 Everything is evaluated in factored form: the structure terms through
 the projector identity ||(I - P) M||_F^2 = ||M||_F^2 - ||lift* M||^2,
 the coupling term through K x K Gram matrices, and every FFT through
-the ``operators`` kernels; ``descent.gradient_line`` builds the line
-search from ``_transforms``, ``_kernel_args`` and ``_gradient``.  A
-gradient costs O(L K N log N + L^2 K^2 N), an objective at a
-line-search trial O(L N + L^2 K^2 N) (see :mod:`htgd.descent`); no
-n x n matrix is ever formed.
+the ``operators`` kernels.  The objective reads the lifts a
+``descent.Trial`` carries; ``descent.start_point`` and
+``descent.gradient_line`` build the Trials from ``_transforms``,
+``_kernel_args`` and ``_gradient``.  A gradient costs O(L K N log N +
+L^2 K^2 N), an objective at a line-search trial O(L N + L^2 K^2 N) (see
+:mod:`htgd.descent`); no n x n matrix is ever formed.
 
 Gradients are conjugate Wirtinger derivatives of the objective, so the
 directional derivative along a perturbation D is 2 Re<grad, D>.  The
 descent direction matches the analytic gradient of the model; its
 overall scale is immaterial to the Armijo-controlled iteration.
 
-State layout: one complex array of shape (L, 2n, K), channel l holding
-Z1^l in rows 0..n-1 and Z2^l in rows n..2n-1.
+State layout: a Trial's z, one complex array of shape (L, 2n, K),
+channel l holding Z1^l in rows 0..n-1 and Z2^l in rows n..2n-1.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .descent import (
     prepare_observed,
     run_descent,
     solver_report,
+    start_point,
     weigh_observations,
 )
 from .lowrank import randomized_lift_svd
@@ -107,12 +109,8 @@ def _grams(z1, z2):
     return Z1f, Z2f, G1full, g11, g22
 
 
-def _objective_stacked(state, obs: Observed):
-    if isinstance(state, Trial):
-        state, h, hw = state.z, state.h, state.hw
-    else:
-        h, hw = ops.adjoints_from_transforms(*_kernel_args(_transforms(state)),
-                                             state.shape[1] // 2)
+def _objective_stacked(t: Trial, obs: Observed):
+    state, h, hw = t.z, t.h, t.hw
     L, two_n, K = state.shape
     n = two_n // 2
     z1 = state[:, :n, :]
@@ -155,7 +153,8 @@ def _gradient(state, F, obs: Observed):
 def objective_f(factors: FactorSetM, y: np.ndarray, mask: SamplingMask,
                 dims: ProblemDims) -> float:
     """Objective value; ``y`` is the weighted signal, (full_N, L)."""
-    return _objective_stacked(factors.stacked(), prepare_observed(y, mask, dims))
+    obs = prepare_observed(y, mask, dims)
+    return _objective_stacked(start_point(factors.stacked(), obs, _transforms, _kernel_args), obs)
 
 
 def grad_f(factors: FactorSetM, y: np.ndarray, mask: SamplingMask,
@@ -193,7 +192,7 @@ def solve_mhtgd(observations: MultichannelSignal, mask: SamplingMask,
     cfg = config if config is not None else SolverConfig()
     obs = weigh_observations(observations, mask)
     init = spectral_init(obs.yT.T, mask, observations.dims, seed=cfg.seed)
-    out = run_descent(init.stacked(),
+    out = run_descent(start_point(init.stacked(), obs, _transforms, _kernel_args),
                       lambda state: _objective_stacked(state, obs),
                       lambda state: gradient_line(state, obs, _transforms, _kernel_args,
                                                   _gradient),

@@ -154,6 +154,44 @@ def test_solve_at_a_tiny_scale_converges(tmp_path, capsys):
     assert json.loads((tmp_path / "sol" / "report.json").read_text())["nmse"] <= 1e-6
 
 
+def test_solve_report_is_strict_json_at_a_huge_scale(tmp_path, capsys):
+    # the objective at 1e160 passes the float range: the trace is written as
+    # null, never as the bare token Infinity that strict parsers reject
+    out = synth_dir(tmp_path)
+    for name in ("observed.csv", "signal.csv"):
+        hio.write_signal_csv(out / name, 1e160 * hio.read_signal_csv(out / name))
+    code = run_cli("solve", "--observed", out / "observed.csv", "--mask", out / "mask.json",
+                   "-K", 2, "--ground-truth", out / "signal.csv", "--out", tmp_path / "sol")
+    assert code == EXIT_OK
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    report = json.loads((tmp_path / "sol" / "report.json").read_text(),
+                        parse_constant=reject)
+    assert report["converged"] is True and report["nmse"] <= 1e-6
+    assert len(report["objective_trace"]) == report["iterations"] + 1
+
+
+@pytest.mark.parametrize("kind,content", [
+    ("mask", {"N": 33}),
+    ("mask", 5),
+    ("mask", {"N": 33, "indices": [1, "a"]}),
+    ("model", [1, 2]),
+], ids=["mask-no-indices", "mask-number", "mask-bad-index", "model-list"])
+def test_solve_malformed_mask_or_model_is_io_error(tmp_path, capsys, kind, content):
+    out = synth_dir(tmp_path)
+    bad = tmp_path / f"bad-{kind}.json"
+    bad.write_text(json.dumps(content))
+    files = {"mask": out / "mask.json", "model": out / "model.json", kind: bad}
+    code = run_cli("solve", "--observed", out / "observed.csv", "--mask", files["mask"],
+                   "-K", 2, "--freqs", "--model", files["model"], "--out", tmp_path / "sol")
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(bad) in err
+    assert "Traceback" not in err
+
+
 def test_solve_has_no_step_size_flags(tmp_path):
     out = synth_dir(tmp_path)
     with pytest.raises(SystemExit) as exc:

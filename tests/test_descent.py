@@ -21,6 +21,7 @@ from htgd.descent import (
     gradient_line,
     prepare_observed,
     run_descent,
+    start_point,
     weigh_observations,
 )
 from htgd.errors import NumericalError
@@ -51,11 +52,16 @@ def quadratic(alpha):
     return f, g
 
 
+def line_of(z, g):
+    """The Line of the plain array difference z - eta * g."""
+    return Line(g, lambda eta: z - eta * g)
+
+
 def test_armijo_accepts_exact_minimiser_of_quadratic():
     # alpha = 4: trials 1.0, 0.5 fail sufficient decrease, 0.25 lands on the minimum
     f, g = quadratic(4.0)
     z = np.array([1.0 + 1.0j, -2.0j])
-    res = armijo_step(z, g(z), f(z), f, eta_prev=0.5)
+    res = armijo_step(z, line_of(z, g(z)), f(z), f, eta_prev=0.5)
     assert res.accepted
     assert res.eta == pytest.approx(0.25)
     assert res.value == pytest.approx(0.0, abs=1e-24)
@@ -65,7 +71,7 @@ def test_armijo_accepts_exact_minimiser_of_quadratic():
 def test_armijo_first_trial_is_step0():
     f, g = quadratic(0.25)  # eta = 1 satisfies the condition outright
     z = np.ones(3, dtype=complex)
-    res = armijo_step(z, g(z), f(z), f, eta_prev=0.5)
+    res = armijo_step(z, line_of(z, g(z)), f(z), f, eta_prev=0.5)
     assert res.accepted and res.eta == pytest.approx(1.0)
 
 
@@ -77,7 +83,7 @@ def test_armijo_zero_gradient_accepts_immediately():
         return 7.0
 
     z = np.ones(4, dtype=complex)
-    res = armijo_step(z, np.zeros_like(z), 7.0, f, eta_prev=0.5)
+    res = armijo_step(z, line_of(z, np.zeros_like(z)), 7.0, f, eta_prev=0.5)
     assert res.accepted
     assert res.value == 7.0
     assert res.state is z
@@ -89,7 +95,7 @@ def test_armijo_reports_exhaustion():
         return 2.0  # above f_curr, so no backtrack can meet the condition
 
     z = np.ones(2, dtype=complex)
-    res = armijo_step(z, z.copy(), 1.0, f_bad, eta_prev=1.0)
+    res = armijo_step(z, line_of(z, z.copy()), 1.0, f_bad, eta_prev=1.0)
     assert not res.accepted
     assert res.state is z and res.value == 1.0
 
@@ -102,7 +108,7 @@ def test_armijo_nan_objective_keeps_shrinking():
         return val if val < 5.9 else np.nan  # poisons the large-step trials
 
     z = np.array([1.0 + 0.0j])
-    res = armijo_step(z, g(z), f(z), f_guarded, eta_prev=0.5)
+    res = armijo_step(z, line_of(z, g(z)), f(z), f_guarded, eta_prev=0.5)
     assert res.accepted and res.eta <= 0.25
 
 
@@ -110,7 +116,7 @@ def test_armijo_step_cap():
     assert STEP_CAP == 256.0
     f, g = quadratic(1e-6)  # shallow bowl: any step decreases
     z = np.ones(2, dtype=complex)
-    res = armijo_step(z, g(z), f(z), f, eta_prev=1e9)
+    res = armijo_step(z, line_of(z, g(z)), f(z), f, eta_prev=1e9)
     assert res.eta <= STEP_CAP
 
 
@@ -122,7 +128,7 @@ def test_solver_config_validation(bad):
 
 def descend_quadratic(alpha, z0, cfg):
     f, g = quadratic(alpha)
-    return run_descent(z0, f, lambda z: (g(z), z), cfg)
+    return run_descent(z0, f, lambda z: (line_of(z, g(z)), z), cfg)
 
 
 def test_run_descent_converges_on_quadratic():
@@ -200,7 +206,7 @@ def test_run_descent_nonfinite_start():
         return np.inf
 
     z0 = np.ones(2, dtype=complex)
-    out = run_descent(z0, f, lambda z: (z, z), SolverConfig())
+    out = run_descent(z0, f, lambda z: (line_of(z, z), z), SolverConfig())
     assert out.stop_reason == STOP_NUMERICAL
     assert out.iterations == 0
     assert out.x_hat.shape == z0.shape
@@ -212,7 +218,7 @@ def test_run_descent_line_search_failure_reported():
     def f(z):
         return 1.0 if z is z0 else np.nan  # every trial point poisoned
 
-    out = run_descent(z0, f, lambda z: (z, z), SolverConfig())
+    out = run_descent(z0, f, lambda z: (line_of(z, z), z), SolverConfig())
     assert out.stop_reason == STOP_LINE_SEARCH
     assert out.iterations == 0
     assert len(out.objective_trace) == 1
@@ -222,7 +228,7 @@ def test_run_descent_nonfinite_gradient_reported():
     def g(z):
         bad = z.copy()
         bad[0] = np.nan
-        return bad, z
+        return line_of(z, bad), z
 
     out = run_descent(np.ones(2, dtype=complex), lambda z: 1.0, g, SolverConfig())
     assert out.stop_reason == STOP_NUMERICAL
@@ -310,6 +316,11 @@ def test_solve_recovers_at_any_scale(solver, is_ca, c):
 # ---------- line search from carried transforms ----------
 
 
+def start(module, z, obs):
+    """The Trial at the state array ``z`` with one solver's pieces."""
+    return start_point(z, obs, module._transforms, module._kernel_args)
+
+
 def grad_and_line(module, state, obs):
     """The shared gradient-line builder with one solver's pieces."""
     return gradient_line(state, obs, module._transforms, module._kernel_args, module._gradient)
@@ -336,18 +347,18 @@ def test_trial_objective_matches_direct_evaluation(data, module):
     y = rng.standard_normal((dims.full_N, L)) + 1j * rng.standard_normal((dims.full_N, L))
     obs = prepare_observed(y, sample_mask(dims, seed=rng.integers(2**32)), dims)
     z = random_state(module, rng, dims)
-    line, _ = grad_and_line(module, z, obs)
+    line, _ = grad_and_line(module, start(module, z, obs), obs)
     trial = line.at(eta)
     assert isinstance(trial, Trial)
     direct = z - eta * line.grad
     np.testing.assert_array_equal(trial.z, direct)
-    want = module._objective_stacked(direct, obs)
+    want = module._objective_stacked(start(module, direct, obs), obs)
     assert abs(module._objective_stacked(trial, obs) - want) <= 1e-10 * want
     F = module._transforms(direct)
     assert np.linalg.norm(trial.transforms() - F) <= 1e-10 * np.linalg.norm(F)
     # the accepted trial's gradient, from carried transforms, is the fresh one
     g_carried, x_carried = grad_and_line(module, trial, obs)
-    g_fresh, x_fresh = grad_and_line(module, direct, obs)
+    g_fresh, x_fresh = grad_and_line(module, start(module, direct, obs), obs)
     assert np.linalg.norm(g_carried.grad - g_fresh.grad) <= 1e-9 * np.linalg.norm(g_fresh.grad)
     assert np.linalg.norm(x_carried - x_fresh) <= 1e-10 * np.linalg.norm(x_fresh)
 
@@ -365,7 +376,7 @@ def test_carried_transforms_do_not_drift_over_a_long_descent():
     def objective(state):
         return mhtgd._objective_stacked(state, obs)
 
-    state, eta = init.stacked(), 0.5
+    state, eta = start(mhtgd, init.stacked(), obs), 0.5
     f_curr = objective(state)
     for _ in range(3000):
         line, _ = grad_and_line(mhtgd, state, obs)
@@ -375,6 +386,25 @@ def test_carried_transforms_do_not_drift_over_a_long_descent():
     carried = state.transforms()
     fresh = mhtgd._transforms(state.z)
     assert np.linalg.norm(carried - fresh) <= 1e-10 * np.linalg.norm(fresh)
+
+
+@SOLVERS
+def test_solve_transforms_its_start_state_once(solver, is_ca, monkeypatch):
+    # one transform for the start state, then one per gradient: the objective
+    # and the first gradient both read the start point's carried transforms
+    module = chtgd if is_ca else mhtgd
+    transforms, seen = module._transforms, []
+
+    def spy(z):
+        seen.append(z.copy())
+        return transforms(z)
+
+    monkeypatch.setattr(module, "_transforms", spy)
+    dims, sig, mask = scale_instance(is_ca)
+    report = solver(apply_mask(sig, mask), mask, SolverConfig(seed=2))
+    assert report.converged
+    assert sum(np.array_equal(z, seen[0]) for z in seen) == 1
+    assert len(seen) == 1 + (report.iterations + 1)
 
 
 @pytest.mark.parametrize("master,trial", [
