@@ -11,11 +11,11 @@ second factor:
     + 1/4 || (I - W W*)(Z^1 Z^{1,H}) ||_F^2
     + 1/4 sum_{l >= 2} || Z^1 Z^{1,H} - Z^l Z^{l,H} ||_F^2
 
-with channel 1 anchoring the Toeplitz structure penalty.  Evaluation at
-a ``descent.Trial`` (``descent.start_point``), gradients and the line
-search (``descent.gradient_line``) run through the same ``operators``
-kernels as the two-factor solver; the gradient is again the conjugate
-Wirtinger derivative, so directional derivatives equal 2 Re<grad, D>.
+with channel 1 anchoring the Toeplitz structure penalty.  The objective
+and gradient read the lifts of a ``descent.Trial`` (``descent.start_point``,
+``descent.gradient_line``) and make none; FFTs run through the same
+``operators`` kernels as the two-factor solver.  The gradient is again the
+conjugate Wirtinger derivative, so directional derivatives equal 2 Re<grad, D>.
 
 State layout: a Trial's z, one complex array of shape (L, n, K).
 """
@@ -94,14 +94,13 @@ def _objective_stacked(t: Trial, obs: Observed):
     return float(t1 + t2 + t3 + t4)
 
 
-def _gradient(z, FZ, obs: Observed):
-    """Gradient at ``z`` from its transforms ``FZ``, with the lifts (h, hw) there."""
+def _gradient(t: Trial, FZ, obs: Observed):
+    """Gradient at the Trial ``t`` from its transforms ``FZ`` and its lifts."""
+    z, h, hw = t.z, t.h, t.hw
     L, n, K = z.shape
-    FA, FBc, FC = _kernel_args(FZ)
-    h, hw = ops.adjoints_from_transforms(FA, FBc, FC, n)
     v = np.where(obs.maskb, h - obs.yT, 0.0) / obs.p - h
     # G(v_l) conj(z_l) from the transforms of z_l, and W(hw) z_1
-    gv_zc, ww_z1 = ops.lift_products_from_transforms(v, (FZ,), hw, FC)
+    gv_zc, ww_z1 = ops.lift_products_from_transforms(v, (FZ,), hw, FZ[:1])
     gram = np.swapaxes(z, -2, -1).conj() @ z  # z_l^H z_l
     grad = np.empty_like(z)
     grad[0] = gv_zc[0] - ww_z1[0] + z[0] @ (gram[0].conj() + L * gram[0])
@@ -114,7 +113,7 @@ def _gradient(z, FZ, obs: Observed):
                     + z[1:] @ (gram[1:].conj() + gram[1:])
                     - z[0] @ anchor)
     grad *= 0.5
-    return grad, h, hw
+    return grad
 
 
 def objective_g(factors: FactorSetC, y: np.ndarray, mask: SamplingMask,
@@ -127,8 +126,9 @@ def objective_g(factors: FactorSetC, y: np.ndarray, mask: SamplingMask,
 def grad_g(factors: FactorSetC, y: np.ndarray, mask: SamplingMask,
            dims: ProblemDims) -> FactorSetC:
     """Conjugate Wirtinger gradient of :func:`objective_g` at ``factors``."""
-    grad, _, _ = _gradient(factors.z, _transforms(factors.z), prepare_observed(y, mask, dims))
-    return FactorSetC(z=grad)
+    obs = prepare_observed(y, mask, dims)
+    t = start_point(factors.z, obs, _transforms, _kernel_args)
+    return FactorSetC(z=_gradient(t, t.F, obs))
 
 
 def spectral_init_ca(y: np.ndarray, mask: SamplingMask, dims: ProblemDims,

@@ -142,6 +142,9 @@ def cmd_solve(args) -> int:
     if args.ground_truth is not None:
         truth = MultichannelSignal(data=_read_input(hio.read_signal_csv, args.ground_truth),
                                    dims=dims)
+    model = None
+    if args.freqs and args.model is not None:  # read before the solve writes anything
+        model = _read_input(hio.read_model_json, args.model)
     cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter, seed=args.seed)
     report = solver_for(args.method)(observations, mask, cfg, ground_truth=truth)
     out = args.out
@@ -151,8 +154,7 @@ def cmd_solve(args) -> int:
     if args.freqs:
         est = esprit(report.x_hat, args.K)
         print(hio.write_freqs_json(out / "freqs.json", est.freqs))
-        if args.model is not None:
-            model = _read_input(hio.read_model_json, args.model)
+        if model is not None:
             _, err = match_frequencies(est.freqs, model.freqs)
             print(f"max wrap error: {err:.3e}")
     print(f"stop reason: {report.stop_reason} after {report.iterations} iterations")

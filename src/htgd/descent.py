@@ -40,19 +40,19 @@ samples are rejected up front by :func:`prepare_observed` with
 A solver is its factorisation, objective, gradient and factor transforms;
 around them it calls :func:`weigh_observations`, :func:`start_point`,
 :func:`run_descent`, :func:`gradient_line` and :func:`solver_report` from
-here.  :func:`start_point` transforms the start state once into a Trial.
-The gradient call hands :func:`run_descent` the line and the signal
-x = h / omega that the state reconstructs, which the stopping rule reads.
+here.  :func:`start_point` transforms the start state once into a Trial
+with its lifts.  The gradient call reads them and hands :func:`run_descent`
+the line and the signal x = h / omega that the state reconstructs, which
+the stopping rule reads.
 
 Cost of one iteration.  The solvers' lifts G*(A B^H) and W*(C C^H) read
 the factors only through their row FFTs F, which are real-linear in the
 state, so F(Z - eta G) = F(Z) - eta F(G) and the lifts along the line
-are quadratics in eta.  The gradient call, :func:`gradient_line`, thus
-transforms one array, the new gradient, and returns a :class:`Line`
-whose trial points (:class:`Trial`) carry h(eta) = h0 - eta h1 + eta^2
-h2; it costs O(L K N log N + L^2 K^2 N).  Each Armijo trial costs
-O(L N + L^2 K^2 N) and no FFT, and the accepted trial hands its
-transforms F - eta FG to the next gradient call.
+are quadratics in eta.  :func:`gradient_line` thus transforms one array,
+the new gradient, and returns a :class:`Line` whose trial points
+(:class:`Trial`) carry h(eta) = h0 - eta h1 + eta^2 h2, at a cost of
+O(L K N log N + L^2 K^2 N).  A trial costs O(L N + L^2 K^2 N) and no FFT;
+the accepted one hands its lifts and transforms to the next gradient call.
 """
 
 from __future__ import annotations
@@ -206,15 +206,15 @@ class Line(NamedTuple):
 def gradient_line(state: Trial, obs: Observed, transforms: Callable, kernel_args: Callable,
                   gradient: Callable) -> tuple:
     """(Line, x) at the Trial ``state``, from a solver's ``transforms(z)``,
-    ``kernel_args(F)`` and ``gradient(z, F, obs)``; x = h0 / omega is the
-    signal the state reconstructs, (L, full_N).
+    ``kernel_args(F)`` and ``gradient(t, F, obs)``, the gradient alone at the
+    Trial t; x = h0 / omega is the signal the state reconstructs, (L, full_N).
 
-    F is the one the Trial carries; FG, of the gradient, is the one
-    transform made here.  A trial then costs no FFT: h(eta) = h0 - eta h1 +
-    eta^2 h2, and the same for hw (:func:`operators.line_adjoints`).
+    F and the lifts (h0, hw0) are the Trial's; FG, of the gradient, is the
+    one transform made here.  A trial then costs no FFT: h(eta) = h0 - eta
+    h1 + eta^2 h2, and the same for hw (:func:`operators.line_adjoints`).
     """
-    z, F = state.z, state.transforms()
-    grad, h0, hw0 = gradient(z, F, obs)
+    z, h0, hw0, F = state.z, state.h, state.hw, state.transforms()
+    grad = gradient(state, F, obs)
     FG = transforms(grad)
     h1, h2, hw1, hw2 = ops.line_adjoints(*kernel_args(F), *kernel_args(FG),
                                          (len(obs.w) + 1) // 2)

@@ -85,17 +85,25 @@ def write_mask_json(path, mask: SamplingMask) -> Path:
 
 def read_mask_json(path) -> SamplingMask:
     """Read a mask written by ``write_mask_json``, or a bare array of indices;
-    a file that holds no valid mask raises ``ValueError`` naming ``path``."""
+    a file that holds no valid mask raises ``ValueError`` naming ``path``.
+
+    The indices and N must be JSON integers: 1.7 or true is an error, never
+    truncated to an index.
+    """
     try:
         payload = json.loads(Path(path).read_text())
         if isinstance(payload, list):  # bare array form
-            indices, N = np.asarray(payload, dtype=int), None
-        else:
-            indices, N = np.asarray(payload["indices"], dtype=int), payload.get("N")
-        return SamplingMask(indices=indices, N=int(indices.max(initial=0) if N is None else N))
+            payload = {"indices": payload}
+        indices = payload["indices"]
+        if not (isinstance(indices, list) and all(type(i) is int for i in indices)):
+            raise ValueError("indices must be an array of integers")
+        N = payload.get("N", max(indices, default=0))
+        if type(N) is not int:
+            raise ValueError("N must be an integer")
+        return SamplingMask(indices=np.asarray(indices, dtype=int), N=N)
     except KeyError as exc:
         raise ValueError(f"{path}: missing mask field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed mask: {exc}") from exc
 
 

@@ -13,9 +13,9 @@ objective sums over channels
 Everything is evaluated in factored form: the structure terms through
 the projector identity ||(I - P) M||_F^2 = ||M||_F^2 - ||lift* M||^2,
 the coupling term through K x K Gram matrices, and every FFT through
-the ``operators`` kernels.  The objective reads the lifts a
-``descent.Trial`` carries; ``descent.start_point`` and
-``descent.gradient_line`` build the Trials from ``_transforms``,
+the ``operators`` kernels.  The objective and ``_gradient`` read the
+lifts a ``descent.Trial`` carries and make none; ``descent.start_point``
+and ``descent.gradient_line`` build the Trials from ``_transforms``,
 ``_kernel_args`` and ``_gradient``.  A gradient costs O(L K N log N +
 L^2 K^2 N), an objective at a line-search trial O(L N + L^2 K^2 N) (see
 :mod:`htgd.descent`); no n x n matrix is ever formed.
@@ -130,14 +130,14 @@ def _objective_stacked(t: Trial, obs: Observed):
     return float(t1 + t2 + t3 + t4)
 
 
-def _gradient(state, F, obs: Observed):
-    """Gradient at ``state`` from its transforms ``F``, with the lifts (h, hw) there."""
+def _gradient(t: Trial, F, obs: Observed):
+    """Gradient at the Trial ``t`` from its transforms ``F`` and its lifts."""
+    state, h, hw = t.z, t.h, t.hw
     L, two_n, K = state.shape
     n = two_n // 2
     z1 = state[:, :n, :]
     z2 = state[:, n:, :]
     F2, F1c, F1 = _kernel_args(F)
-    h, hw = ops.adjoints_from_transforms(F2, F1c, F1, n)
     v = np.where(obs.maskb, h - obs.yT, 0.0) / obs.p - h
     gv_z1, gv_z2c, ww_z1 = ops.lift_products_from_transforms(v, (F1c, F2), hw, F1)
     Z1f, Z2f, G1full, g11, g22 = _grams(z1, z2)
@@ -147,7 +147,7 @@ def _gradient(state, F, obs: Observed):
     sum3 = (Z1f.conj() @ T12.T).reshape(n, L, K).transpose(1, 0, 2)
     gz1 = 0.5 * (np.conj(gv_z2c) - ww_z1 + z1 @ (g11 + g22) + L * (sum1 - sum2))
     gz2 = 0.5 * (gv_z1 + z2 @ (g11 + L * L * g22) - L * sum3)
-    return np.concatenate([gz1, gz2], axis=1), h, hw
+    return np.concatenate([gz1, gz2], axis=1)
 
 
 def objective_f(factors: FactorSetM, y: np.ndarray, mask: SamplingMask,
@@ -160,9 +160,9 @@ def objective_f(factors: FactorSetM, y: np.ndarray, mask: SamplingMask,
 def grad_f(factors: FactorSetM, y: np.ndarray, mask: SamplingMask,
            dims: ProblemDims) -> FactorSetM:
     """Conjugate Wirtinger gradient of :func:`objective_f` at ``factors``."""
-    state = factors.stacked()
-    grad, _, _ = _gradient(state, _transforms(state), prepare_observed(y, mask, dims))
-    return FactorSetM.from_stacked(grad)
+    obs = prepare_observed(y, mask, dims)
+    t = start_point(factors.stacked(), obs, _transforms, _kernel_args)
+    return FactorSetM.from_stacked(_gradient(t, t.F, obs))
 
 
 def spectral_init(y: np.ndarray, mask: SamplingMask, dims: ProblemDims,

@@ -177,8 +177,12 @@ def test_solve_report_is_strict_json_at_a_huge_scale(tmp_path, capsys):
     ("mask", {"N": 33}),
     ("mask", 5),
     ("mask", {"N": 33, "indices": [1, "a"]}),
+    ("mask", {"N": 33, "indices": [1.7, 2.2, 3]}),
+    ("mask", [True, 2]),
+    ("mask", {"N": 33.5, "indices": [1, 2, 3]}),
     ("model", [1, 2]),
-], ids=["mask-no-indices", "mask-number", "mask-bad-index", "model-list"])
+], ids=["mask-no-indices", "mask-number", "mask-bad-index", "mask-float-index",
+        "mask-bool-index", "mask-float-N", "model-list"])
 def test_solve_malformed_mask_or_model_is_io_error(tmp_path, capsys, kind, content):
     out = synth_dir(tmp_path)
     bad = tmp_path / f"bad-{kind}.json"
@@ -190,6 +194,7 @@ def test_solve_malformed_mask_or_model_is_io_error(tmp_path, capsys, kind, conte
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(bad) in err
     assert "Traceback" not in err
+    assert not (tmp_path / "sol").exists()  # rejected before the solve wrote anything
 
 
 def test_solve_has_no_step_size_flags(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from htgd import chtgd, mhtgd
+from htgd import operators as ops
 from htgd.chtgd import solve_chtgd
 from htgd.descent import (
     STOP_CONVERGED,
@@ -386,25 +387,38 @@ def test_carried_transforms_do_not_drift_over_a_long_descent():
     carried = state.transforms()
     fresh = mhtgd._transforms(state.z)
     assert np.linalg.norm(carried - fresh) <= 1e-10 * np.linalg.norm(fresh)
+    # the lifts the gradients read are carried as far: no gradient makes its own
+    lifts = start(mhtgd, state.z, obs)
+    for got, want in ((state.h, lifts.h), (state.hw, lifts.hw)):
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 @SOLVERS
 def test_solve_transforms_its_start_state_once(solver, is_ca, monkeypatch):
     # one transform for the start state, then one per gradient: the objective
-    # and the first gradient both read the start point's carried transforms
+    # and the first gradient both read the start point's carried transforms;
+    # the lifts are made once, at the start point, and every later point
+    # carries the ones its line made
     module = chtgd if is_ca else mhtgd
     transforms, seen = module._transforms, []
+    adjoints, lifted = ops.adjoints_from_transforms, []
 
     def spy(z):
         seen.append(z.copy())
         return transforms(z)
 
+    def lift_spy(*args):
+        lifted.append(args)
+        return adjoints(*args)
+
     monkeypatch.setattr(module, "_transforms", spy)
+    monkeypatch.setattr(ops, "adjoints_from_transforms", lift_spy)
     dims, sig, mask = scale_instance(is_ca)
     report = solver(apply_mask(sig, mask), mask, SolverConfig(seed=2))
     assert report.converged
     assert sum(np.array_equal(z, seen[0]) for z in seen) == 1
     assert len(seen) == 1 + (report.iterations + 1)
+    assert len(lifted) == 1
 
 
 @pytest.mark.parametrize("master,trial", [
