@@ -14,8 +14,25 @@ second factor:
 with channel 1 anchoring the Toeplitz structure penalty.  The objective
 and gradient read the lifts of a ``descent.Trial`` (``descent.start_point``,
 ``descent.gradient_line``) and make none; FFTs run through the same
-``operators`` kernels as the two-factor solver.  The gradient is again the
-conjugate Wirtinger derivative, so directional derivatives equal 2 Re<grad, D>.
+``operators`` kernels as the two-factor solver.  The gradient G is again the
+conjugate Wirtinger derivative, so directional derivatives equal 2 Re<G, D>.
+
+The descent runs along the Gram-scaled direction
+
+    D_l = G_l P_l^{-1},   P_l = conj(Z^{l,H} Z^l) + DAMPING tr(Z^{l,H} Z^l) / K I,
+
+the scaled gradient descent of Tong, Ma & Chi, "Accelerating
+ill-conditioned low-rank matrix estimation via scaled gradient descent"
+(JMLR 2021).  P_l is Hermitian positive definite, so the slope Re<G, D>
+that the Armijo search reads is positive wherever G is not zero, and the
+step no longer slows with the conditioning of the K x K Gram: about 30%
+fewer iterations than along G on the benchmark's constant-amplitude shape.
+The K x K Grams are the gradient's own, so the scaling costs O(L n K^2 +
+L K^3) and no FFT.  A channel whose factor is zero has P_l = I.  The
+damping bounds the gain on a Gram's small eigenvalues: when K exceeds the
+signal's order those eigenvalues go to zero, and at 1e-8 the amplified
+steps stalled into false convergence (NMSE 1e-5 to 3e-3) on 22 of 48 such
+solves at N = 33 and 65, against none at 1e-3.
 
 State layout: a Trial's z, one complex array of shape (L, n, K).
 """
@@ -64,6 +81,9 @@ class FactorSetC:
             raise ValueError(f"factors must have shape (L, n, K), got {z.shape}")
 
 
+DAMPING = 1e-3  # of the Gram scaling, relative to the mean eigenvalue tr/K
+
+
 def _transforms(z):
     """The row transforms of every channel's factor, (L, P, K)."""
     return ops.row_transforms(z)
@@ -95,7 +115,9 @@ def _objective_stacked(t: Trial, obs: Observed):
 
 
 def _gradient(t: Trial, FZ, obs: Observed):
-    """Gradient at the Trial ``t`` from its transforms ``FZ`` and its lifts."""
+    """(G, D): the gradient at the Trial ``t``, from its transforms ``FZ`` and
+    its lifts, and the Gram-scaled direction D_l = G_l P_l^{-1} (module
+    docstring)."""
     z, h, hw = t.z, t.h, t.hw
     L, n, K = z.shape
     v = np.where(obs.maskb, h - obs.yT, 0.0) / obs.p - h
@@ -113,7 +135,11 @@ def _gradient(t: Trial, FZ, obs: Observed):
                     + z[1:] @ (gram[1:].conj() + gram[1:])
                     - z[0] @ anchor)
     grad *= 0.5
-    return grad
+    # P_l = conj(z_l^H z_l) + DAMPING tr/K I; a zero factor has a zero Gram and takes P_l = I
+    reg = DAMPING / K * np.trace(gram, axis1=-2, axis2=-1).real
+    reg[reg <= 0.0] = 1.0
+    P = gram.conj() + reg[:, None, None] * np.eye(K)
+    return grad, grad @ np.linalg.inv(P)
 
 
 def objective_g(factors: FactorSetC, y: np.ndarray, mask: SamplingMask,
@@ -128,7 +154,7 @@ def grad_g(factors: FactorSetC, y: np.ndarray, mask: SamplingMask,
     """Conjugate Wirtinger gradient of :func:`objective_g` at ``factors``."""
     obs = prepare_observed(y, mask, dims)
     t = start_point(factors.z, obs, _transforms, _kernel_args)
-    return FactorSetC(z=_gradient(t, t.F, obs))
+    return FactorSetC(z=_gradient(t, t.F, obs)[0])
 
 
 def spectral_init_ca(y: np.ndarray, mask: SamplingMask, dims: ProblemDims,

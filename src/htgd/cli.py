@@ -88,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--method", choices=METHODS, default="mhtgd")
     p_solve.add_argument("--freqs", action="store_true", help="also write recovered frequencies")
     p_solve.add_argument("--ground-truth", type=Path, help="full signal CSV for NMSE")
-    p_solve.add_argument("--model", type=Path, help="model JSON; prints max wrap error with --freqs")
+    p_solve.add_argument("--model", type=Path,
+                         help="model JSON; needs --freqs, then prints the max wrap error")
     p_solve.add_argument("--out", type=Path, default=Path("."), help="output directory")
     p_solve.add_argument("--tol", type=float, default=1e-6, help="relative-change stopping tolerance")
     p_solve.add_argument("--max-iter", type=int, default=10_000, help="iteration cap")
@@ -130,6 +131,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.model is not None and not args.freqs:  # before anything is read or written
+        print("error: --model is only read with --freqs", file=sys.stderr)
+        return EXIT_USAGE
     data = _read_input(hio.read_signal_csv, args.observed)
     mask = _read_input(hio.read_mask_json, args.mask)
     N, L = data.shape
@@ -143,7 +147,7 @@ def cmd_solve(args) -> int:
         truth = MultichannelSignal(data=_read_input(hio.read_signal_csv, args.ground_truth),
                                    dims=dims)
     model = None
-    if args.freqs and args.model is not None:  # read before the solve writes anything
+    if args.model is not None:  # read before the solve writes anything
         model = _read_input(hio.read_model_json, args.model)
     cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter, seed=args.seed)
     report = solver_for(args.method)(observations, mask, cfg, ground_truth=truth)

@@ -1,16 +1,19 @@
-"""Backtracking gradient descent and the plumbing both factorisation solvers share.
+"""Backtracking descent and the plumbing both factorisation solvers share.
 
-The iteration is Z <- Z - eta * grad with eta from an Armijo search:
-accept the first eta with
+The iteration is Z <- Z - eta * D along a solver's direction D, with G
+the gradient at Z and slope = Re<G, D>.  Plain gradient descent takes
+D = G, so slope = ||G||_F^2; the constant-amplitude solver scales G by
+the inverse of each channel's Gram (:mod:`htgd.chtgd`).  eta comes from
+an Armijo search: accept the first eta with
 
-    f(Z - eta * G) <= f(Z) - DECREASE * eta * ||G||_F^2,
+    f(Z - eta * D) <= f(Z) - DECREASE * eta * slope   and   f(Z - eta * D) < f(Z),
 
 shrinking eta by ``SHRINK`` up to ``MAX_BACKTRACKS`` times.  The first
 search starts at ``STEP0``; every later one starts at the two-point
 (Barzilai-Borwein, BB2) step of the last accepted step eta_prev and the
-last two gradients, with d = G_prev - G,
+last two directions, with d = D_prev - D,
 
-    eta0 = min(max(eta_prev * Re<G_prev, d> / ||d||^2, SHRINK**2 * eta_prev),
+    eta0 = min(max(eta_prev * Re<D_prev, d> / ||d||^2, SHRINK**2 * eta_prev),
                STEP_CAP),         STEP_CAP = STEP0 * GROWTH**8,
 
 and falls back to min(GROWTH * eta_prev, STEP_CAP) when that
@@ -31,25 +34,27 @@ The steps are absolute, so :func:`weigh_observations` divides the data by
 2**k x runs the descent of x bit for bit.
 
 Stopping: relative change of the reconstructed signal between accepted
-iterates falls below ``tol``, or ``max_iter`` accepted steps.  Exhausted
-backtracking and non-finite iterates are reported through
+iterates falls below ``tol``, or ``max_iter`` accepted steps.  A search
+that fails where every trial that changed the objective raised it has met
+the objective's rounding floor and also stops as converged.  Other
+exhausted backtracking and non-finite iterates are reported through
 ``SolverReport.stop_reason`` rather than raised; non-finite observed
 samples are rejected up front by :func:`prepare_observed` with
 ``NumericalError``.
 
-A solver is its factorisation, objective, gradient and factor transforms;
-around them it calls :func:`weigh_observations`, :func:`start_point`,
-:func:`run_descent`, :func:`gradient_line` and :func:`solver_report` from
-here.  :func:`start_point` transforms the start state once into a Trial
-with its lifts.  The gradient call reads them and hands :func:`run_descent`
-the line and the signal x = h / omega that the state reconstructs, which
-the stopping rule reads.
+A solver is its factorisation, objective, gradient with its direction, and
+factor transforms; around them it calls :func:`weigh_observations`,
+:func:`start_point`, :func:`run_descent`, :func:`gradient_line` and
+:func:`solver_report` from here.  :func:`start_point` transforms the start
+state once into a Trial with its lifts.  The gradient call reads them and
+hands :func:`run_descent` the line and the signal x = h / omega that the
+state reconstructs, which the stopping rule reads.
 
 Cost of one iteration.  The solvers' lifts G*(A B^H) and W*(C C^H) read
 the factors only through their row FFTs F, which are real-linear in the
-state, so F(Z - eta G) = F(Z) - eta F(G) and the lifts along the line
+state, so F(Z - eta D) = F(Z) - eta F(D) and the lifts along the line
 are quadratics in eta.  :func:`gradient_line` thus transforms one array,
-the new gradient, and returns a :class:`Line` whose trial points
+the new direction, and returns a :class:`Line` whose trial points
 (:class:`Trial`) carry h(eta) = h0 - eta h1 + eta^2 h2, at a cost of
 O(L K N log N + L^2 K^2 N).  A trial costs O(L N + L^2 K^2 N) and no FFT;
 the accepted one hands its lifts and transforms to the next gradient call.
@@ -163,12 +168,12 @@ def weigh_observations(observations: MultichannelSignal, mask: SamplingMask) -> 
 
 
 class Trial(NamedTuple):
-    """The point z - eta * G of one line search, as a solver's objective takes it.
+    """The point z - eta * D of one line search, as a solver's objective takes it.
 
     ``h`` and ``hw`` are the solver's lifts there; its factor transforms
-    are the carried ``F - eta * FG``, formed by :meth:`transforms` only
+    are the carried ``F - eta * FD``, formed by :meth:`transforms` only
     when the trial is accepted and the next gradient needs them.  A start
-    point (:func:`start_point`) has FG = 0 and eta = 0, so its transforms
+    point (:func:`start_point`) has FD = 0 and eta = 0, so its transforms
     are F itself.
     """
 
@@ -176,11 +181,11 @@ class Trial(NamedTuple):
     h: np.ndarray
     hw: np.ndarray
     F: np.ndarray
-    FG: np.ndarray
+    FD: np.ndarray
     eta: float
 
     def transforms(self) -> np.ndarray:
-        return self.F - self.eta * self.FG
+        return self.F - self.eta * self.FD
 
 
 def start_point(z: np.ndarray, obs: Observed, transforms: Callable,
@@ -193,37 +198,43 @@ def start_point(z: np.ndarray, obs: Observed, transforms: Callable,
 
 
 class Line(NamedTuple):
-    """A gradient ``grad`` and ``at(eta)``, the trial point state - eta * grad.
+    """A descent direction, ``at(eta)``, the trial point state - eta * direction,
+    and ``slope`` = Re<G, direction> for the gradient G at the state.
 
-    :func:`gradient_line` builds it with Trial points that carry their
-    lifts, so a trial costs no FFT.
+    Along the line f(eta) = f(0) - 2 eta slope + O(eta^2), since G is the
+    conjugate Wirtinger gradient; the direction is G itself for plain
+    gradient descent, and slope = ||G||^2.  :func:`gradient_line` builds it
+    with Trial points that carry their lifts, so a trial costs no FFT.
     """
 
-    grad: np.ndarray
+    direction: np.ndarray
     at: Callable[[float], object]
+    slope: float
 
 
 def gradient_line(state: Trial, obs: Observed, transforms: Callable, kernel_args: Callable,
                   gradient: Callable) -> tuple:
     """(Line, x) at the Trial ``state``, from a solver's ``transforms(z)``,
-    ``kernel_args(F)`` and ``gradient(t, F, obs)``, the gradient alone at the
-    Trial t; x = h0 / omega is the signal the state reconstructs, (L, full_N).
+    ``kernel_args(F)`` and ``gradient(t, F, obs)``, which returns (G, D): the
+    gradient at the Trial t and the direction to descend along; x = h0 /
+    omega is the signal the state reconstructs, (L, full_N).
 
-    F and the lifts (h0, hw0) are the Trial's; FG, of the gradient, is the
-    one transform made here.  A trial then costs no FFT: h(eta) = h0 - eta
-    h1 + eta^2 h2, and the same for hw (:func:`operators.line_adjoints`).
+    F and the lifts (h0, hw0) are the Trial's; FD, of the direction, is the
+    one transform made here.  The lifts are quadratic in the state, so along
+    any direction a trial costs no FFT: h(eta) = h0 - eta h1 + eta^2 h2, and
+    the same for hw (:func:`operators.line_adjoints`).
     """
     z, h0, hw0, F = state.z, state.h, state.hw, state.transforms()
-    grad = gradient(state, F, obs)
-    FG = transforms(grad)
-    h1, h2, hw1, hw2 = ops.line_adjoints(*kernel_args(F), *kernel_args(FG),
+    grad, direction = gradient(state, F, obs)
+    FD = transforms(direction)
+    h1, h2, hw1, hw2 = ops.line_adjoints(*kernel_args(F), *kernel_args(FD),
                                          (len(obs.w) + 1) // 2)
 
     def at(eta: float) -> Trial:
-        return Trial(z - eta * grad, h0 - eta * (h1 - eta * h2),
-                     hw0 - eta * (hw1 - eta * hw2), F, FG, eta)
+        return Trial(z - eta * direction, h0 - eta * (h1 - eta * h2),
+                     hw0 - eta * (hw1 - eta * hw2), F, FD, eta)
 
-    return Line(grad, at), h0 / obs.w
+    return Line(direction, at, float(np.vdot(grad, direction).real)), h0 / obs.w
 
 
 class ArmijoResult(NamedTuple):
@@ -231,18 +242,19 @@ class ArmijoResult(NamedTuple):
     eta: float
     state: object
     value: float
+    minimal: bool = False  # a failed search whose trials rose above f_curr and never fell
 
 
-def _first_trial(grad: np.ndarray, g_prev: Optional[np.ndarray], eta_prev: float) -> float:
-    """BB2 from ``eta_prev`` and the gradients ``g_prev`` -> ``grad``, at least
-    SHRINK**2 * eta_prev and at most STEP_CAP; GROWTH * eta_prev, capped,
-    when there is no ``g_prev`` or the quotient has no finite positive
-    numerator and denominator."""
+def _first_trial(direction: np.ndarray, d_prev: Optional[np.ndarray], eta_prev: float) -> float:
+    """BB2 from ``eta_prev`` and the directions ``d_prev`` -> ``direction``, at
+    least SHRINK**2 * eta_prev and at most STEP_CAP; GROWTH * eta_prev,
+    capped, when there is no ``d_prev`` or the quotient has no finite
+    positive numerator and denominator."""
     eta = GROWTH * eta_prev
-    if g_prev is not None:
+    if d_prev is not None:
         with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: growth rule
-            d = g_prev - grad
-            num = float(np.vdot(g_prev, d).real)
+            d = d_prev - direction
+            num = float(np.vdot(d_prev, d).real)
             den = float(np.vdot(d, d).real)
         if 0.0 < num < np.inf and 0.0 < den < np.inf:
             eta = max(eta_prev * (num / den), SHRINK**2 * eta_prev)
@@ -251,30 +263,39 @@ def _first_trial(grad: np.ndarray, g_prev: Optional[np.ndarray], eta_prev: float
 
 def armijo_step(state, line: Line, f_curr: float,
                 objective: Callable[[object], float], eta_prev: float,
-                g_prev: Optional[np.ndarray] = None) -> ArmijoResult:
+                d_prev: Optional[np.ndarray] = None) -> ArmijoResult:
     """One backtracking step from the warm-started trial size.
 
-    Every trial point ``line.at(eta)`` goes through ``objective``.  The
-    first trial is the floored BB2 step from ``eta_prev`` and the previous
-    accepted iterate's gradient ``g_prev``, or min(GROWTH * eta_prev,
-    STEP_CAP) without one (see the module docstring); ``run_descent``
-    passes ``g_prev`` from its second search on.  A zero gradient is
-    accepted immediately with ``state`` unchanged.  ``accepted=False``
-    means MAX_BACKTRACKS shrinks never met the sufficient-decrease
-    condition.
+    Every trial point ``line.at(eta)`` goes through ``objective``, and the
+    first one to decrease the objective sufficiently,
+
+        f_new <= f_curr - DECREASE * eta * line.slope   and   f_new < f_curr,
+
+    is accepted; the strict decrease keeps a flat objective, where the first
+    test holds once DECREASE * eta * slope is below half an ulp of f_curr,
+    from passing for progress.  The first trial is the floored BB2 step from
+    ``eta_prev`` and the previous accepted iterate's direction ``d_prev``,
+    or min(GROWTH * eta_prev, STEP_CAP) without one (see the module
+    docstring); ``run_descent`` passes ``d_prev`` from its second search on.
+    A zero slope is accepted immediately with ``state`` unchanged.
+    ``accepted=False`` means MAX_BACKTRACKS shrinks never met the test; it
+    is ``minimal`` when some trial rose above f_curr and none fell below,
+    so that f_curr is a minimum along the line to working precision (the
+    objective's rounding floor), not a search that found no descent.
     """
-    gnorm_sq = float(np.vdot(line.grad, line.grad).real)
-    eta = _first_trial(line.grad, g_prev, eta_prev)
-    if gnorm_sq == 0.0:
+    eta = _first_trial(line.direction, d_prev, eta_prev)
+    if line.slope == 0.0:
         return ArmijoResult(True, eta, state, f_curr)
+    rose = fell = False
     for _ in range(MAX_BACKTRACKS):
         cand = line.at(eta)
         f_new = objective(cand)
-        # NaN fails the comparison and keeps shrinking
-        if f_new <= f_curr - DECREASE * eta * gnorm_sq:
+        # NaN fails the comparisons and keeps shrinking
+        if f_new <= f_curr - DECREASE * eta * line.slope and f_new < f_curr:
             return ArmijoResult(True, eta, cand, f_new)
+        rose, fell = rose or f_new > f_curr, fell or f_new < f_curr
         eta *= SHRINK
-    return ArmijoResult(False, eta, state, f_curr)
+    return ArmijoResult(False, eta, state, f_curr, rose and not fell)
 
 
 class DescentOutcome(NamedTuple):
@@ -318,19 +339,19 @@ def run_descent(state: Trial,
         return DescentOutcome(state, x_curr, 0, STOP_NUMERICAL, trace, iter_seconds,
                               time.perf_counter() - t_start)
     eta_prev = STEP0 / GROWTH  # first trial is exactly STEP0
-    g_prev = None
+    d_prev = None
     stop_reason = STOP_MAX_ITER
     iters = 0
     for _ in range(cfg.max_iter):
         t0 = time.perf_counter()
-        if not np.all(np.isfinite(line.grad)):
+        if not np.all(np.isfinite(line.direction)):
             stop_reason = STOP_NUMERICAL
             break
-        res = armijo_step(state, line, f_curr, objective, eta_prev, g_prev)
+        res = armijo_step(state, line, f_curr, objective, eta_prev, d_prev)
         if not res.accepted:
-            stop_reason = STOP_LINE_SEARCH
+            stop_reason = STOP_CONVERGED if res.minimal else STOP_LINE_SEARCH
             break
-        state, f_curr, eta_prev, g_prev = res.state, res.value, res.eta, line.grad
+        state, f_curr, eta_prev, d_prev = res.state, res.value, res.eta, line.direction
         line, x_new = grad_and_signal(state)
         iters += 1
         trace.append(f_curr)

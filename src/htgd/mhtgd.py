@@ -22,8 +22,11 @@ L^2 K^2 N), an objective at a line-search trial O(L N + L^2 K^2 N) (see
 
 Gradients are conjugate Wirtinger derivatives of the objective, so the
 directional derivative along a perturbation D is 2 Re<grad, D>.  The
-descent direction matches the analytic gradient of the model; its
-overall scale is immaterial to the Armijo-controlled iteration.
+descent direction is the analytic gradient of the model itself; its
+overall scale is immaterial to the Armijo-controlled iteration.  Scaling
+it by the inverse Grams, as :mod:`htgd.chtgd` does, did not pay here:
+the cross scaling took about 40% more iterations, and one shared scaling
+of both blocks saved 1-10% of them for about 9% more time per iteration.
 
 State layout: a Trial's z, one complex array of shape (L, 2n, K),
 channel l holding Z1^l in rows 0..n-1 and Z2^l in rows n..2n-1.
@@ -131,7 +134,8 @@ def _objective_stacked(t: Trial, obs: Observed):
 
 
 def _gradient(t: Trial, F, obs: Observed):
-    """Gradient at the Trial ``t`` from its transforms ``F`` and its lifts."""
+    """(G, G): the gradient at the Trial ``t``, from its transforms ``F`` and
+    its lifts, and the direction, G itself."""
     state, h, hw = t.z, t.h, t.hw
     L, two_n, K = state.shape
     n = two_n // 2
@@ -147,7 +151,8 @@ def _gradient(t: Trial, F, obs: Observed):
     sum3 = (Z1f.conj() @ T12.T).reshape(n, L, K).transpose(1, 0, 2)
     gz1 = 0.5 * (np.conj(gv_z2c) - ww_z1 + z1 @ (g11 + g22) + L * (sum1 - sum2))
     gz2 = 0.5 * (gv_z1 + z2 @ (g11 + L * L * g22) - L * sum3)
-    return np.concatenate([gz1, gz2], axis=1)
+    grad = np.concatenate([gz1, gz2], axis=1)
+    return grad, grad
 
 
 def objective_f(factors: FactorSetM, y: np.ndarray, mask: SamplingMask,
@@ -162,7 +167,7 @@ def grad_f(factors: FactorSetM, y: np.ndarray, mask: SamplingMask,
     """Conjugate Wirtinger gradient of :func:`objective_f` at ``factors``."""
     obs = prepare_observed(y, mask, dims)
     t = start_point(factors.stacked(), obs, _transforms, _kernel_args)
-    return FactorSetM.from_stacked(_gradient(t, t.F, obs))
+    return FactorSetM.from_stacked(_gradient(t, t.F, obs)[0])
 
 
 def spectral_init(y: np.ndarray, mask: SamplingMask, dims: ProblemDims,

@@ -235,6 +235,17 @@ def test_solve_mismatched_mask_is_usage_error(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+def test_solve_model_without_freqs_is_usage_error(tmp_path, capsys):
+    # refused before any input is read: the missing observed file is never opened
+    out = synth_dir(tmp_path)
+    sol = tmp_path / "sol"
+    code = run_cli("solve", "--observed", tmp_path / "missing.csv", "--mask", out / "mask.json",
+                   "-K", 2, "--model", out / "model.json", "--out", sol)
+    assert code == EXIT_USAGE
+    assert "--freqs" in capsys.readouterr().err
+    assert not sol.exists()
+
+
 def test_experiment_phase_single_cell(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"N": 33, "L": 2, "m_values": [33], "k_values": [1],

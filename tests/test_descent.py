@@ -54,8 +54,8 @@ def quadratic(alpha):
 
 
 def line_of(z, g):
-    """The Line of the plain array difference z - eta * g."""
-    return Line(g, lambda eta: z - eta * g)
+    """The gradient Line of the plain array difference z - eta * g."""
+    return Line(g, lambda eta: z - eta * g, float(np.vdot(g, g).real))
 
 
 def test_armijo_accepts_exact_minimiser_of_quadratic():
@@ -121,6 +121,35 @@ def test_armijo_step_cap():
     assert res.eta <= STEP_CAP
 
 
+def test_armijo_rejects_a_flat_objective():
+    # f = 1 everywhere: no step decreases it, yet once DECREASE * eta * slope is
+    # below half an ulp of 1 the sufficient-decrease test alone would hold
+    def flat(z):
+        return 1.0
+
+    z = np.ones(2, dtype=complex)
+    res = armijo_step(z, line_of(z, z.copy()), 1.0, flat, eta_prev=0.5)
+    assert not res.accepted and not res.minimal
+    assert res.state is z and res.value == 1.0
+    out = run_descent(z, flat, lambda z: (line_of(z, z), z), SolverConfig())
+    assert out.stop_reason == STOP_LINE_SEARCH and out.iterations == 0
+
+
+def test_failed_search_at_the_rounding_floor_is_converged():
+    # z0 minimises f, but the line claims a slope there, as a gradient made of
+    # rounding noise does: every visible step raises f, smaller ones leave it
+    # at 1.0 exactly
+    z0 = np.ones(2, dtype=complex)
+
+    def f(z):
+        return 1.0 + float(np.vdot(z - z0, z - z0).real)
+
+    res = armijo_step(z0, line_of(z0, z0), f(z0), f, eta_prev=0.5)
+    assert not res.accepted and res.minimal
+    out = run_descent(z0, f, lambda z: (line_of(z, z), z), SolverConfig())
+    assert out.stop_reason == STOP_CONVERGED and out.iterations == 0
+
+
 @pytest.mark.parametrize("bad", [dict(tol=0.0), dict(tol=-1.0), dict(max_iter=0)])
 def test_solver_config_validation(bad):
     with pytest.raises(ValueError):
@@ -169,7 +198,8 @@ def first_trial(grad, g_prev, eta_prev):
         trials.append(eta)
         return np.nan  # rejected: one trial is enough
 
-    armijo_step(None, Line(grad, lambda eta: eta), 0.0, objective, eta_prev, g_prev)
+    # any nonzero slope: the search tries at least one step
+    armijo_step(None, Line(grad, lambda eta: eta, 1.0), 0.0, objective, eta_prev, g_prev)
     return trials[0]
 
 
@@ -351,7 +381,7 @@ def test_trial_objective_matches_direct_evaluation(data, module):
     line, _ = grad_and_line(module, start(module, z, obs), obs)
     trial = line.at(eta)
     assert isinstance(trial, Trial)
-    direct = z - eta * line.grad
+    direct = z - eta * line.direction
     np.testing.assert_array_equal(trial.z, direct)
     want = module._objective_stacked(start(module, direct, obs), obs)
     assert abs(module._objective_stacked(trial, obs) - want) <= 1e-10 * want
@@ -360,8 +390,77 @@ def test_trial_objective_matches_direct_evaluation(data, module):
     # the accepted trial's gradient, from carried transforms, is the fresh one
     g_carried, x_carried = grad_and_line(module, trial, obs)
     g_fresh, x_fresh = grad_and_line(module, start(module, direct, obs), obs)
-    assert np.linalg.norm(g_carried.grad - g_fresh.grad) <= 1e-9 * np.linalg.norm(g_fresh.grad)
+    assert (np.linalg.norm(g_carried.direction - g_fresh.direction)
+            <= 1e-9 * np.linalg.norm(g_fresh.direction))
     assert np.linalg.norm(x_carried - x_fresh) <= 1e-10 * np.linalg.norm(x_fresh)
+
+
+def line_instance(module, seed, dims=ProblemDims(N=15, L=3, K=2, M=10)):
+    """(dims, y, mask, obs, z): random weighted data and a random state."""
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal((dims.full_N, dims.L)) + 1j * rng.standard_normal((dims.full_N, dims.L))
+    mask = sample_mask(dims, seed=seed)
+    return dims, y, mask, prepare_observed(y, mask, dims), random_state(module, rng, dims)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mhtgd_descends_along_its_gradient(seed):
+    dims, y, mask, obs, z = line_instance(mhtgd, seed)
+    line, _ = grad_and_line(mhtgd, start(mhtgd, z, obs), obs)
+    G = mhtgd.grad_f(mhtgd.FactorSetM.from_stacked(z), y, mask, dims).stacked()
+    np.testing.assert_array_equal(line.direction, G)
+    assert line.slope == np.vdot(G, G).real
+
+
+def gram_scaling(z):
+    """P_l = conj(z_l^H z_l) + DAMPING tr / K I per channel, (L, K, K)."""
+    gram = np.swapaxes(z, -2, -1).conj() @ z
+    K = z.shape[-1]
+    tr = np.trace(gram, axis1=-2, axis2=-1).real
+    return gram.conj() + (chtgd.DAMPING * tr / K)[:, None, None] * np.eye(K)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_chtgd_line_is_gram_scaled_and_descends_to_first_order(seed):
+    dims, y, mask, obs, z = line_instance(chtgd, seed)
+    line, _ = grad_and_line(chtgd, start(chtgd, z, obs), obs)
+    G = chtgd.grad_g(chtgd.FactorSetC(z), y, mask, dims).z
+    D = line.direction
+    np.testing.assert_allclose(D @ gram_scaling(z), G, rtol=0, atol=1e-10 * np.abs(G).max())
+    assert line.slope == np.vdot(G, D).real
+    assert line.slope > 0
+    # f(z - eta D) = f(z) - 2 eta slope + O(eta^2)
+    eps = 1e-6
+    fm, fp = (chtgd.objective_g(chtgd.FactorSetC(z + s * eps * D), y, mask, dims)
+              for s in (-1.0, 1.0))
+    assert (fm - fp) / (2 * eps) == pytest.approx(-2.0 * line.slope, rel=1e-5)
+
+
+def test_chtgd_direction_is_finite_for_a_zero_factor_column():
+    dims, y, mask, obs, z = line_instance(chtgd, 3)
+    z[:, :, -1] = 0.0  # rank K - 1 in every channel: each Gram is singular
+    line, _ = grad_and_line(chtgd, start(chtgd, z, obs), obs)
+    assert np.all(np.isfinite(line.direction)) and line.slope > 0
+    assert np.all(line.direction[:, :, -1] == 0)
+
+
+@pytest.mark.filterwarnings("ignore:clustered singular values")  # the init's zero tail
+def test_chtgd_solves_with_k_above_the_true_order():
+    # a fully observed K = 2 signal solved at K = 4: the init's extra columns are
+    # near zero, so the Grams the direction inverts are nearly singular; with
+    # damping 1e-8 this solve stopped as converged at NMSE 1.5e-3 after 9 steps
+    true = ProblemDims(N=33, L=2, K=2, M=33)
+    sig = synthesize(random_model(true, min_sep=1.5 / 33, is_ca=True, seed=5), true)
+    dims = ProblemDims(N=33, L=2, K=4, M=33)
+    mask = sample_mask(dims, seed=(5, 1))
+    observed = MultichannelSignal(data=apply_mask(sig, mask).data, dims=dims)
+    obs = weigh_observations(observed, mask)
+    init = chtgd.spectral_init_ca(obs.yT.T, mask, dims, seed=0)
+    line, _ = grad_and_line(chtgd, start(chtgd, init.z, obs), obs)
+    assert np.all(np.isfinite(line.direction)) and line.slope > 0
+    report = solve_chtgd(observed, mask, SolverConfig(),
+                         ground_truth=MultichannelSignal(data=sig.data, dims=dims))
+    assert report.converged and report.nmse <= 1e-6
 
 
 def test_carried_transforms_do_not_drift_over_a_long_descent():
