@@ -179,7 +179,7 @@ def _load_spec(path: Path, cls):
         raise ValueError(f"{path}: spec must be a JSON object")
     try:
         return cls(**payload)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 

@@ -48,7 +48,10 @@ factor transforms; around them it calls :func:`weigh_observations`,
 :func:`solver_report` from here.  :func:`start_point` transforms the start
 state once into a Trial with its lifts.  The gradient call reads them and
 hands :func:`run_descent` the line and the signal x = h / omega that the
-state reconstructs, which the stopping rule reads.
+state reconstructs, which the stopping rule reads.  :func:`run_descent`
+returns a :class:`SolverReport` at the descent's scale and layout, and
+:func:`solver_report` maps that same record to the user's; a new result
+field is declared once, on :class:`SolverReport`.
 
 Cost of one iteration.  The solvers' lifts G*(A B^H) and W*(C C^H) read
 the factors only through their row FFTs F, which are real-linear in the
@@ -63,7 +66,7 @@ the accepted one hands its lifts and transforms to the next gradient call.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -71,7 +74,7 @@ import numpy as np
 from . import operators as ops
 from .errors import NumericalError
 from .retrieval import nmse
-from .signals import MultichannelSignal, ProblemDims, SamplingMask
+from .signals import MultichannelSignal, ProblemDims, SamplingMask, check_int
 
 STOP_CONVERGED = "converged"
 STOP_MAX_ITER = "max_iter"
@@ -94,13 +97,22 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_iter < 1:
-            raise ValueError("tol must be positive and max_iter >= 1")
+        if not self.tol > 0:  # NaN too: no change would ever stop the descent
+            raise ValueError(f"tol must be positive, got {self.tol}")
+        check_int("max_iter", self.max_iter, 1)
+        check_int("seed", self.seed, 0)
 
 
 @dataclass
 class SolverReport:
-    """Outcome of one solver run; ``x_hat`` keeps the user's N rows."""
+    """Outcome of one solver run, and the one result type of the descent.
+
+    :func:`run_descent` returns it at the descent's scale and layout:
+    ``x_hat`` is the (L, full_N) signal of data / 2**e and the objective
+    trace is that of the scaled data.  :func:`solver_report` maps it to the
+    user's: ``x_hat`` (N, L) at the user's scale, the trace times 4**e, and
+    ``nmse``.
+    """
 
     x_hat: np.ndarray
     iterations: int
@@ -298,16 +310,6 @@ def armijo_step(state, line: Line, f_curr: float,
     return ArmijoResult(False, eta, state, f_curr, rose and not fell)
 
 
-class DescentOutcome(NamedTuple):
-    state: object
-    x_hat: np.ndarray
-    iterations: int
-    stop_reason: str
-    objective_trace: list
-    iter_seconds: list
-    total_seconds: float
-
-
 def _rel_change(x_new: np.ndarray, x_old: np.ndarray) -> float:
     denom = np.linalg.norm(x_old)
     diff = np.linalg.norm(x_new - x_old)
@@ -319,12 +321,14 @@ def _rel_change(x_new: np.ndarray, x_old: np.ndarray) -> float:
 def run_descent(state: Trial,
                 objective: Callable[[Trial], float],
                 grad_and_signal: Callable[[Trial], tuple],
-                cfg: SolverConfig) -> DescentOutcome:
-    """Drive the shared loop from ``state``, a :func:`start_point`.
+                cfg: SolverConfig) -> SolverReport:
+    """Drive the shared loop from ``state``, a :func:`start_point`, and report it.
 
     ``grad_and_signal(state)`` returns (Line, x) where x is the signal the
     state reconstructs: the stopping rule compares it between accepted
-    iterates and ``x_hat`` is the last one.  The Line's trial points are
+    iterates and the report's ``x_hat`` is the last one, in the layout and
+    at the scale the descent ran in; :func:`solver_report` maps the report
+    to the user's N rows and scale.  The Line's trial points are
     the states that ``objective`` and the next ``grad_and_signal`` receive;
     the solvers pass :func:`gradient_line`, which returns both.  The start
     point is held only as ``state``, so its transforms are freed once the
@@ -336,8 +340,8 @@ def run_descent(state: Trial,
     iter_seconds: list = []
     line, x_curr = grad_and_signal(state)
     if not np.isfinite(f_curr):
-        return DescentOutcome(state, x_curr, 0, STOP_NUMERICAL, trace, iter_seconds,
-                              time.perf_counter() - t_start)
+        return SolverReport(x_curr, 0, STOP_NUMERICAL, trace, iter_seconds,
+                            time.perf_counter() - t_start)
     eta_prev = STEP0 / GROWTH  # first trial is exactly STEP0
     d_prev = None
     stop_reason = STOP_MAX_ITER
@@ -361,22 +365,16 @@ def run_descent(state: Trial,
         if rel <= cfg.tol:
             stop_reason = STOP_CONVERGED
             break
-    return DescentOutcome(state, x_curr, iters, stop_reason, trace, iter_seconds,
-                          time.perf_counter() - t_start)
+    return SolverReport(x_curr, iters, stop_reason, trace, iter_seconds,
+                        time.perf_counter() - t_start)
 
 
-def solver_report(out: DescentOutcome, e: int, dims: ProblemDims,
+def solver_report(out: SolverReport, e: int, dims: ProblemDims,
                   ground_truth: MultichannelSignal | None = None) -> SolverReport:
-    """``out`` of a descent on data / 2**e at the user's scale, with x_hat trimmed
-    to the user's N rows, plus NMSE against ``ground_truth`` when one is given."""
+    """``out`` of :func:`run_descent` on data / 2**e at the user's scale: x_hat
+    times 2**e, trimmed to the user's N rows as (N, L), the objective trace
+    times 4**e, and the NMSE against ``ground_truth`` when one is given."""
     x_hat = ops.ldexp(out.x_hat.T[:dims.N], e)
-    trace = ops.ldexp(out.objective_trace, 2 * e).tolist()
-    return SolverReport(
-        x_hat=x_hat,
-        iterations=out.iterations,
-        stop_reason=out.stop_reason,
-        objective_trace=trace,
-        iter_seconds=out.iter_seconds,
-        total_seconds=out.total_seconds,
-        nmse=None if ground_truth is None else nmse(x_hat, ground_truth.data),
-    )
+    return replace(out, x_hat=x_hat,
+                   objective_trace=ops.ldexp(out.objective_trace, 2 * e).tolist(),
+                   nmse=None if ground_truth is None else nmse(x_hat, ground_truth.data))

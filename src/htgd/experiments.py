@@ -23,7 +23,8 @@ import numpy as np
 
 from .chtgd import solve_chtgd
 from .descent import SolverConfig
-from .signals import ProblemDims, apply_mask, random_model, sample_mask, synthesize
+from .signals import (ProblemDims, apply_mask, check_int, random_model, sample_mask,
+                      synthesize)
 from .mhtgd import solve_mhtgd
 
 __all__ = [
@@ -51,6 +52,15 @@ def _check_method(method: str) -> str:
     return method
 
 
+def _check_min_sep(mult: float, K: int, N: int) -> None:
+    """The condition of ``signals.random_model`` on min_sep = mult / N, for K."""
+    if not mult >= 0:  # NaN too
+        raise ValueError(f"min_sep_mult must be >= 0, got {mult}")
+    if K * (mult / N) > 1.0:
+        raise ValueError(f"min_sep_mult={mult} leaves no room for K={K} frequencies "
+                         f"at N={N}: need K * min_sep_mult <= N")
+
+
 @dataclass(frozen=True)
 class PhaseGridSpec:
     """Success-rate scan over measurement counts M and model orders K."""
@@ -66,18 +76,22 @@ class PhaseGridSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "m_values", tuple(int(m) for m in self.m_values))
-        object.__setattr__(self, "k_values", tuple(int(k) for k in self.k_values))
+        object.__setattr__(self, "m_values", tuple(check_int("m_values", m, 1)
+                                                   for m in self.m_values))
+        object.__setattr__(self, "k_values", tuple(check_int("k_values", k, 1)
+                                                   for k in self.k_values))
         _check_method(self.method)
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        for name in ("N", "L", "trials"):
+            check_int(name, getattr(self, name), 1)
+        check_int("seed", self.seed, 0)
         if not self.m_values or not self.k_values:
             raise ValueError("m_values and k_values must be nonempty")
         n = ProblemDims(N=self.N, L=self.L, K=1, M=1).n
         if max(self.k_values) >= n:
             raise ValueError(f"every K must be < n={n}")
-        if min(self.m_values) < 1 or max(self.m_values) > self.N:
+        if max(self.m_values) > self.N:
             raise ValueError("every M must lie in [1, N]")
+        _check_min_sep(self.min_sep_mult, max(self.k_values), self.N)
 
     @property
     def min_sep(self) -> float:
@@ -98,17 +112,21 @@ class TimingSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "n_values", tuple(int(N) for N in self.n_values))
+        object.__setattr__(self, "n_values", tuple(check_int("n_values", N, 1)
+                                                   for N in self.n_values))
         _check_method(self.method)
         if not self.n_values:
             raise ValueError("n_values must be nonempty")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.time_cap <= 0:
-            raise ValueError("time_cap must be positive")
+        for name in ("L", "K", "trials"):
+            check_int(name, getattr(self, name), 1)
+        check_int("seed", self.seed, 0)
+        if not self.time_cap > 0:  # NaN too
+            raise ValueError(f"time_cap must be positive, got {self.time_cap}")
         for N in self.n_values:
             if int(0.8 * N) < 1:
                 raise ValueError(f"N={N} too small for the M = floor(0.8 N) rule")
+            ProblemDims(N=N, L=self.L, K=self.K, M=self.m_for(N))  # K < n at every N
+            _check_min_sep(self.min_sep_mult, self.K, N)
 
     def m_for(self, N: int) -> int:
         return int(np.floor(0.8 * N))

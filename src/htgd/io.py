@@ -48,7 +48,11 @@ def write_signal_csv(path, data: np.ndarray) -> Path:
 
 
 def read_signal_csv(path) -> np.ndarray:
-    """Read back an (N, L) complex array written by ``write_signal_csv``."""
+    """Read back an (N, L) complex array written by ``write_signal_csv``.
+
+    A malformed, out-of-range or repeated (sample, channel) row raises
+    ``ValueError`` naming ``path`` and the row's line.
+    """
     rows = []
     with Path(path).open(newline="") as fh:
         reader = csv.reader(fh)
@@ -58,17 +62,22 @@ def read_signal_csv(path) -> np.ndarray:
         for line in reader:
             if not line:
                 continue
-            j, l, re, im = line
-            rows.append((int(j), int(l), float(re), float(im)))
+            try:
+                j, l, re, im = line
+                rows.append((reader.line_num, int(j), int(l), float(re), float(im)))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    N = max(r[0] for r in rows)
-    L = max(r[1] for r in rows)
+    N = max(r[1] for r in rows)
+    L = max(r[2] for r in rows)
     data = np.zeros((N, L), dtype=complex)
     present = np.zeros((N, L), dtype=bool)  # NaN is a value here, not a hole
-    for j, l, re, im in rows:
+    for num, j, l, re, im in rows:
         if not (1 <= j <= N and 1 <= l <= L):
-            raise ValueError(f"{path}: index ({j}, {l}) out of range")
+            raise ValueError(f"{path}:{num}: index ({j}, {l}) out of range")
+        if present[j - 1, l - 1]:
+            raise ValueError(f"{path}:{num}: repeated (sample, channel) row ({j}, {l})")
         data[j - 1, l - 1] = complex(re, im)
         present[j - 1, l - 1] = True
     if not present.all():

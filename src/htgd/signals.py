@@ -21,6 +21,7 @@ phases.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,14 @@ _REJECTION_BUDGET = 10_000
 def make_rng(seed) -> np.random.Generator:
     """Philox generator for an integer seed or a SeedSequence."""
     return np.random.Generator(np.random.Philox(seed))
+
+
+def check_int(name: str, value, low: int) -> int:
+    """``value`` as an int; ``ValueError`` naming ``name`` unless it is an
+    integer (a bool or 2.5 is not) of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -194,8 +203,8 @@ def random_model(dims: ProblemDims, min_sep: float = 0.0, is_ca: bool = False,
     Raises ``ValueError`` if K * min_sep > 1 (no valid configuration) and
     ``GenerationError`` if rejection sampling exhausts its budget.
     """
-    if min_sep < 0:
-        raise ValueError("min_sep must be nonnegative")
+    if not min_sep >= 0:  # NaN too
+        raise ValueError(f"min_sep must be nonnegative, got {min_sep}")
     if dims.K * min_sep > 1.0:
         raise ValueError(
             f"cannot place K={dims.K} frequencies with pairwise separation {min_sep} on the unit circle"

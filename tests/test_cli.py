@@ -142,6 +142,27 @@ def test_solve_csv_with_a_missing_row_is_io_error(tmp_path, capsys):
     assert "missing" in capsys.readouterr().err
 
 
+def test_solve_csv_with_a_repeated_row_is_io_error(tmp_path, capsys):
+    out = synth_dir(tmp_path)
+    with (out / "observed.csv").open("a") as fh:
+        fh.write("1,1,9.0,9.0\n")
+    code = run_cli("solve", "--observed", out / "observed.csv", "--mask", out / "mask.json",
+                   "-K", 2, "--out", tmp_path / "sol")
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    assert f"{out / 'observed.csv'}:" in err and "repeated" in err
+    assert not (tmp_path / "sol").exists()
+
+
+def test_solve_nan_tol_is_usage_error(tmp_path, capsys):
+    out = synth_dir(tmp_path)
+    code = run_cli("solve", "--observed", out / "observed.csv", "--mask", out / "mask.json",
+                   "-K", 2, "--tol", "nan", "--max-iter", 50, "--out", tmp_path / "sol")
+    assert code == EXIT_USAGE
+    assert "tol must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "sol").exists()
+
+
 def test_solve_at_a_tiny_scale_converges(tmp_path, capsys):
     out = synth_dir(tmp_path)
     for name in ("observed.csv", "signal.csv"):
@@ -289,6 +310,19 @@ def test_experiment_invalid_spec_values(tmp_path, capsys):
     spec.write_text(json.dumps({"N": 33, "m_values": [99], "k_values": [1]}))
     code = run_cli("experiment", "phase", "--spec", spec, "--out", tmp_path / "x.csv")
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("kind,spec", [
+    ("phase", {"N": 33, "L": 2, "m_values": [33], "k_values": [1], "trials": 2.5}),
+    ("timing", {"n_values": [63], "L": 2, "K": 2, "trials": 2.5})])
+def test_experiment_fractional_trials_is_usage_error(tmp_path, capsys, kind, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code = run_cli("experiment", kind, "--spec", path, "--out", tmp_path / "x.csv")
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(path) in err and "trials must be an integer" in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_selftest_passes(capsys):

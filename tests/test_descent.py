@@ -150,7 +150,10 @@ def test_failed_search_at_the_rounding_floor_is_converged():
     assert out.stop_reason == STOP_CONVERGED and out.iterations == 0
 
 
-@pytest.mark.parametrize("bad", [dict(tol=0.0), dict(tol=-1.0), dict(max_iter=0)])
+# NaN tol never stops a descent; 2.5 iterations or seed -1 would fail only inside a solve
+@pytest.mark.parametrize("bad", [dict(tol=0.0), dict(tol=-1.0), dict(max_iter=0),
+                                 dict(tol=np.nan), dict(max_iter=2.5), dict(max_iter=True),
+                                 dict(seed=1.5), dict(seed=-1)])
 def test_solver_config_validation(bad):
     with pytest.raises(ValueError):
         SolverConfig(**bad)
@@ -164,7 +167,7 @@ def descend_quadratic(alpha, z0, cfg):
 def test_run_descent_converges_on_quadratic():
     out = descend_quadratic(4.0, np.array([3.0 + 1.0j, -2.0 + 0.5j]), SolverConfig(tol=1e-9))
     assert out.stop_reason == STOP_CONVERGED
-    np.testing.assert_allclose(out.state, 0.0, atol=1e-8)
+    np.testing.assert_allclose(out.x_hat, 0.0, atol=1e-8)
     # trace is monotone and bookkeeping lines up
     trace = np.asarray(out.objective_trace)
     assert np.all(np.diff(trace) <= 0)
@@ -187,7 +190,7 @@ def test_run_descent_bb_step_lands_on_the_quadratic_minimiser():
     out = descend_quadratic(3.0, np.ones(2, dtype=complex), SolverConfig(tol=1e-30))
     assert out.objective_trace[:3] == [6.0, 1.5, 0.0]
     assert out.stop_reason == STOP_CONVERGED and out.iterations == 3
-    assert np.all(out.state == 0)
+    assert np.all(out.x_hat == 0)
 
 
 def first_trial(grad, g_prev, eta_prev):

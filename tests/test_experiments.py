@@ -26,6 +26,16 @@ def test_phase_spec_validation():
         small_phase_spec(m_values=(34,))
     with pytest.raises(ValueError, match="nonempty"):
         small_phase_spec(m_values=())
+    # values with which every trial, or the scan itself, would fail
+    for bad, field in [(dict(trials=2.5), "trials"), (dict(trials=True), "trials"),
+                       (dict(N=33.5), "N must"), (dict(L=2.0), "L must"), (dict(seed=-1), "seed"),
+                       (dict(m_values=(30.7,)), "m_values"), (dict(k_values=(1.5,)), "k_values"),
+                       (dict(min_sep_mult=-1), "min_sep_mult"),
+                       (dict(min_sep_mult=float("nan")), "min_sep_mult"),
+                       (dict(min_sep_mult=20, k_values=(2,)), "min_sep_mult")]:
+        with pytest.raises(ValueError, match=field):
+            small_phase_spec(**bad)
+    small_phase_spec(min_sep_mult=16.5, k_values=(2,))  # random_model's bound K * mult == N
 
 
 def test_timing_spec_validation():
@@ -35,6 +45,13 @@ def test_timing_spec_validation():
         TimingSpec(n_values=())
     with pytest.raises(ValueError, match="trials"):
         TimingSpec(n_values=(63,), trials=0)
+    for bad, field in [(dict(time_cap=float("nan")), "time_cap"), (dict(trials=2.5), "trials"),
+                       (dict(n_values=(63.5,)), "n_values"), (dict(K=3.0), "K must"),
+                       (dict(min_sep_mult=float("nan")), "min_sep_mult"),
+                       (dict(min_sep_mult=30), "min_sep_mult"),
+                       (dict(n_values=(5, 63), K=3), "K=3 too large for N=5")]:
+        with pytest.raises(ValueError, match=field):
+            TimingSpec(**{"n_values": (63,), **bad})
     assert TimingSpec().m_for(4095) == 3276
     assert TimingSpec().m_for(255) == 204
 

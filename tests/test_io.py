@@ -62,6 +62,18 @@ def test_signal_csv_rejects_missing_row_next_to_nan(tmp_path):
         hio.read_signal_csv(p)
 
 
+@pytest.mark.parametrize("row,why", [("2,1,0.0", "not enough values"),
+                                     ("2.5,1,0.0,0.0", "invalid literal"),
+                                     ("1,1,9.0,9.0", "repeated")])
+def test_signal_csv_names_file_and_line_of_a_bad_row(tmp_path, row, why):
+    # a repeated (sample, channel) row is an error, never a silent overwrite
+    p = tmp_path / "bad.csv"
+    p.write_text(f"j,channel,re,im\n1,1,0.0,0.0\n{row}\n2,1,1.0,0.0\n")
+    with pytest.raises(ValueError, match=why) as info:
+        hio.read_signal_csv(p)
+    assert str(info.value).startswith(f"{p}:3: ")
+
+
 def test_signal_csv_rejects_empty(tmp_path):
     p = tmp_path / "empty.csv"
     p.write_text("j,channel,re,im\n")

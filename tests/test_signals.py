@@ -152,6 +152,12 @@ def test_random_model_infeasible_separation():
         random_model(dims, min_sep=0.3, seed=0)
 
 
+def test_random_model_rejects_nan_separation_up_front():
+    dims = ProblemDims(N=65, L=1, K=2, M=40)
+    with pytest.raises(ValueError, match="min_sep must be nonnegative"):
+        random_model(dims, min_sep=np.nan, seed=0)
+
+
 def test_random_model_exhausts_budget():
     # K * min_sep == 1 is admissible only on a measure-zero set
     dims = ProblemDims(N=65, L=1, K=2, M=40)
