@@ -8,7 +8,10 @@ an Armijo search: accept the first eta with
 
     f(Z - eta * D) <= f(Z) - DECREASE * eta * slope   and   f(Z - eta * D) < f(Z),
 
-shrinking eta by ``SHRINK`` up to ``MAX_BACKTRACKS`` times.  The first
+shrinking eta by ``SHRINK`` up to ``MAX_BACKTRACKS`` times.  A
+:class:`Line` may carry its own first trial: a quasi-Newton direction is
+already scaled to the curvature, so mhtgd's L-BFGS lines start at eta = 1
+(:mod:`htgd.mhtgd`).  A line without one starts as follows.  The first
 search starts at ``STEP0``; every later one starts at the two-point
 (Barzilai-Borwein, BB2) step of the last accepted step eta_prev and the
 last two directions, with d = D_prev - D,
@@ -217,11 +220,14 @@ class Line(NamedTuple):
     conjugate Wirtinger gradient; the direction is G itself for plain
     gradient descent, and slope = ||G||^2.  :func:`gradient_line` builds it
     with Trial points that carry their lifts, so a trial costs no FFT.
+    ``first`` is the line's first trial step; ``None`` leaves it to
+    :func:`armijo_step`'s BB2 rule.
     """
 
     direction: np.ndarray
     at: Callable[[float], object]
     slope: float
+    first: Optional[float] = None
 
 
 def gradient_line(state: Trial, obs: Observed, transforms: Callable, kernel_args: Callable,
@@ -285,9 +291,10 @@ def armijo_step(state, line: Line, f_curr: float,
 
     is accepted; the strict decrease keeps a flat objective, where the first
     test holds once DECREASE * eta * slope is below half an ulp of f_curr,
-    from passing for progress.  The first trial is the floored BB2 step from
-    ``eta_prev`` and the previous accepted iterate's direction ``d_prev``,
-    or min(GROWTH * eta_prev, STEP_CAP) without one (see the module
+    from passing for progress.  The first trial is ``line.first`` when the
+    line carries one; otherwise it is the floored BB2 step from ``eta_prev``
+    and the previous accepted iterate's direction ``d_prev``, or
+    min(GROWTH * eta_prev, STEP_CAP) without one (see the module
     docstring); ``run_descent`` passes ``d_prev`` from its second search on.
     A zero slope is accepted immediately with ``state`` unchanged.
     ``accepted=False`` means MAX_BACKTRACKS shrinks never met the test; it
@@ -295,7 +302,7 @@ def armijo_step(state, line: Line, f_curr: float,
     so that f_curr is a minimum along the line to working precision (the
     objective's rounding floor), not a search that found no descent.
     """
-    eta = _first_trial(line.direction, d_prev, eta_prev)
+    eta = _first_trial(line.direction, d_prev, eta_prev) if line.first is None else line.first
     if line.slope == 0.0:
         return ArmijoResult(True, eta, state, f_curr)
     rose = fell = False

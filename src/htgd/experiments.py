@@ -56,9 +56,9 @@ def _check_min_sep(mult: float, K: int, N: int) -> None:
     """The condition of ``signals.random_model`` on min_sep = mult / N, for K."""
     if not mult >= 0:  # NaN too
         raise ValueError(f"min_sep_mult must be >= 0, got {mult}")
-    if K * (mult / N) > 1.0:
+    if K >= 2 and K * (mult / N) >= 1.0:
         raise ValueError(f"min_sep_mult={mult} leaves no room for K={K} frequencies "
-                         f"at N={N}: need K * min_sep_mult <= N")
+                         f"at N={N}: need K * min_sep_mult < N")
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,9 @@ projectors onto Hankel- and Toeplitz-structured matrices in the lifted
 geometry.
 
 Products (G v) Z, (W v) Z and adjoints G*(A B^H), W*(A B^H) run as
-cyclic convolutions of length ``fft_length(n)`` (the smallest power of
-two >= 2n) in O(K N log N) time, never materialising an n x n matrix.
+cyclic convolutions of length ``fft_length(n)`` (the smallest 11-smooth
+length >= 2n - 1, the shortest that is alias-free and fast) in
+O(K N log N) time, never materialising an n x n matrix.
 Every FFT of the package is made by the kernels here: ``row_transforms``
 (factor transforms), ``lift_products_from_transforms`` and
 ``adjoints_from_transforms`` (products and adjoints from transforms the
@@ -68,9 +69,25 @@ def weight_vector(N: int) -> WeightVector:
     return _cached_weights(_check_odd_length(N))
 
 
+@lru_cache(maxsize=None)
 def fft_length(n: int) -> int:
-    """Smallest power of two >= 2n; cyclic convolutions of this length are alias-free here."""
-    return 1 << (2 * int(n) - 1).bit_length()
+    """Smallest 11-smooth length >= 2n - 1 (no prime factor above 11).
+
+    Every product and adjoint of the kernels reads lags of at most 2n - 2,
+    so cyclic convolutions of any length >= 2n - 1 are alias-free here;
+    lengths whose factors numpy's FFT has radix passes for run fast, and
+    2n - 1 itself may not be one of them (2047 = 23 * 89 took about five
+    times as long as 2048).
+    """
+    P = max(2 * int(n) - 1, 1)
+    while True:
+        m = P
+        for f in (2, 3, 5, 7, 11):
+            while m % f == 0:
+                m //= f
+        if m == 1:
+            return P
+        P += 1
 
 
 def top_exponent(a) -> int:

@@ -54,13 +54,9 @@ class ProblemDims:
     M: int
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValueError(f"N must be positive, got {self.N}")
-        if self.L < 1:
-            raise ValueError(f"L must be positive, got {self.L}")
-        if self.K < 1:
-            raise ValueError(f"K must be positive, got {self.K}")
-        if not 1 <= self.M <= self.N:
+        for name in ("N", "L", "K", "M"):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), 1))
+        if self.M > self.N:
             raise ValueError(f"M must lie in [1, N={self.N}], got {self.M}")
         if self.K >= self.n:
             raise ValueError(
@@ -200,12 +196,14 @@ def random_model(dims: ProblemDims, min_sep: float = 0.0, is_ca: bool = False,
     wrap-around distances reach ``min_sep``; amplitudes are uniform on
     [0.5, 1.5] and phases uniform on [0, 2*pi).
 
-    Raises ``ValueError`` if K * min_sep > 1 (no valid configuration) and
-    ``GenerationError`` if rejection sampling exhausts its budget.
+    Raises ``ValueError`` if K >= 2 and K * min_sep >= 1 (at equality only a
+    measure-zero set of draws is admissible) and ``GenerationError`` if
+    rejection sampling exhausts its budget.  A single frequency has no
+    pairs, so any nonnegative ``min_sep`` admits it.
     """
     if not min_sep >= 0:  # NaN too
         raise ValueError(f"min_sep must be nonnegative, got {min_sep}")
-    if dims.K * min_sep > 1.0:
+    if dims.K >= 2 and dims.K * min_sep >= 1.0:
         raise ValueError(
             f"cannot place K={dims.K} frequencies with pairwise separation {min_sep} on the unit circle"
         )

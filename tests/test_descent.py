@@ -229,6 +229,20 @@ def test_armijo_bb_trial_is_floored_at_two_backtracks():
     assert first_trial(-9.0 * g_prev, g_prev, eta_prev=1.0) == 0.25
 
 
+def test_armijo_tries_the_lines_first_trial_before_bb2():
+    g = np.array([1.0 - 2.0j, 0.5j])
+    trials = []
+
+    def objective(eta):
+        trials.append(eta)
+        return np.nan
+
+    # BB2 from these directions would be 0.375 (test above); the line's own trial goes first
+    armijo_step(None, Line(g, lambda eta: eta, 1.0, first=1.0), 0.0, objective, 0.25, 3.0 * g)
+    assert trials[:2] == [1.0, 0.5]
+    assert Line(g, None, 1.0).first is None  # and without one, BB2 as before
+
+
 def test_armijo_bb_trial_is_clamped_to_step_cap():
     g = np.ones(2, dtype=complex)
     # BB2 = 100 * 4 = 400 > step_cap = 256, while growth * eta_prev = 200 is not

@@ -32,10 +32,13 @@ def test_phase_spec_validation():
                        (dict(m_values=(30.7,)), "m_values"), (dict(k_values=(1.5,)), "k_values"),
                        (dict(min_sep_mult=-1), "min_sep_mult"),
                        (dict(min_sep_mult=float("nan")), "min_sep_mult"),
-                       (dict(min_sep_mult=20, k_values=(2,)), "min_sep_mult")]:
+                       (dict(min_sep_mult=20, k_values=(2,)), "min_sep_mult"),
+                       # random_model's bound K * mult == N: no draw is admissible
+                       (dict(min_sep_mult=16.5, k_values=(2,)), "min_sep_mult")]:
         with pytest.raises(ValueError, match=field):
             small_phase_spec(**bad)
-    small_phase_spec(min_sep_mult=16.5, k_values=(2,))  # random_model's bound K * mult == N
+    small_phase_spec(min_sep_mult=16.4, k_values=(2,))
+    small_phase_spec(min_sep_mult=40, k_values=(1,))  # one frequency has no pairs
 
 
 def test_timing_spec_validation():

@@ -5,8 +5,12 @@ from hypothesis import strategies as st
 
 import htgd.operators as ops
 from htgd.descent import STOP_CONVERGED, SolverConfig, prepare_observed
+from htgd import mhtgd
 from htgd.mhtgd import (
+    MEMORY,
+    UNIT_TRIAL,
     FactorSetM,
+    LbfgsDirection,
     grad_f,
     objective_f,
     solve_mhtgd,
@@ -215,3 +219,130 @@ def test_zero_factors_evaluate_cleanly():
     assert objective_f(factors, y, mask, dims) == pytest.approx(expect, rel=1e-12)
     g = grad_f(factors, y, mask, dims)
     assert np.all(np.isfinite(g.z1)) and np.all(np.isfinite(g.z2))
+
+
+# ---------- L-BFGS direction ----------
+
+
+def real(a):
+    return a.reshape(-1).view(np.float64)
+
+
+def two_loop(g, pairs):
+    """H g by the two-loop recursion (Nocedal & Wright, Alg. 7.4) over real
+    vectors, oldest pair first, H0 = gamma I from the newest pair."""
+    q, alphas = g.copy(), []
+    for s, y in reversed(pairs):
+        a = (s @ q) / (s @ y)
+        q -= a * y
+        alphas.append(a)
+    s, y = pairs[-1]
+    r = (s @ y) / (y @ y) * q
+    for (s, y), a in zip(pairs, reversed(alphas)):
+        r += s * (a - (y @ r) / (s @ y))
+    return r
+
+
+def convex_quadratic(shape, seed):
+    """Gradient G(z) of a random strictly convex quadratic of a complex state,
+    in the real geometry: real(G) = Q real(z) - b, Q positive definite."""
+    rng = np.random.default_rng(seed)
+    size = 2 * int(np.prod(shape))
+    A = rng.standard_normal((size, size))
+    Q = A @ A.T / size + np.eye(size)
+    b = rng.standard_normal(size)
+
+    def grad(z):
+        return (Q @ real(z) - b).view(complex).reshape(shape)
+
+    def point():
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    return grad, point
+
+
+@pytest.mark.parametrize("iterates", [2, 4, MEMORY + 1, 3 * MEMORY + 2])  # past the ring's wrap
+def test_lbfgs_direction_equals_the_two_loop_recursion(iterates):
+    shape = (2, 6, 3)
+    grad, point = convex_quadratic(shape, seed=iterates)
+    direction = LbfgsDirection(int(np.prod(shape)))
+    pairs, prev = [], None
+    for k in range(iterates):
+        z = point()
+        G = grad(z)
+        D = direction.step(z, G)
+        assert D.shape == G.shape and D.dtype == G.dtype
+        if prev is None:
+            assert D is G and direction.first is None
+        else:
+            pairs = (pairs + [(real(z) - real(prev[0]), real(G) - real(prev[1]))])[-MEMORY:]
+            want = two_loop(real(G), pairs)
+            assert np.linalg.norm(real(D) - want) <= 1e-12 * np.linalg.norm(want)
+            assert direction.first == UNIT_TRIAL
+        prev = (z, G)
+
+
+def test_lbfgs_direction_skips_a_pair_without_positive_curvature():
+    shape = (1, 4, 2)
+    grad, point = convex_quadratic(shape, seed=3)
+    direction = LbfgsDirection(8)
+    z0, z1 = point(), point()
+    direction.step(z0, grad(z0))
+    direction.step(z1, grad(z1))  # one pair kept
+    # the next gradient turns back along s, so Re<s, y> < 0: skipped, the kept pair stays
+    z2 = point()
+    G2 = grad(z1) - 3.0 * (z2 - z1)
+    D = direction.step(z2, G2)
+    pair = (real(z1) - real(z0), real(grad(z1)) - real(grad(z0)))
+    assert real(z2 - z1) @ real(G2 - grad(z1)) < 0
+    want = two_loop(real(G2), [pair])
+    assert np.linalg.norm(real(D) - want) <= 1e-12 * np.linalg.norm(want)
+    # a skipped first pair leaves no memory: the direction is G
+    fresh = LbfgsDirection(8)
+    fresh.step(z1, grad(z1))
+    assert fresh.step(z2, G2) is G2 and fresh.first is None
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_lbfgs_direction_resets_to_the_gradient_when_not_a_descent():
+    shape = (1, 4, 2)
+    grad, point = convex_quadratic(shape, seed=4)
+    direction = LbfgsDirection(8)
+    for _ in range(3):
+        z = point()
+        direction.step(z, grad(z))
+    # a zero gradient makes D = 0, so Re<G, D> = 0: D is G and the memory is cleared
+    zero = np.zeros(shape, dtype=complex)
+    assert direction.step(point(), zero) is zero and direction.first is None
+    z1 = point()
+    G1 = grad(z1)
+    assert direction.step(z1, G1) is not G1  # one new pair, from the zero-gradient iterate
+    # a non-finite D: also G, with the memory cleared
+    bad = grad(point())
+    bad[0, 0, 0] = np.inf
+    assert direction.step(point(), bad) is bad and direction.first is None
+    z2 = point()
+    G2 = grad(z2)
+    assert direction.step(z2, G2) is G2 and direction.first is None  # inf in y: skipped
+
+
+def test_solve_starts_with_the_plain_gradient_then_takes_lbfgs_lines(monkeypatch):
+    dims = ProblemDims(N=33, L=2, K=2, M=24)
+    sig = synthesize(random_model(dims, min_sep=1.5 / 33, seed=5), dims)
+    mask = sample_mask(dims, seed=1)
+    lines = []
+    run_descent = mhtgd.run_descent
+
+    def spy(state, objective, grad_and_signal, cfg):
+        def recorded(t):
+            line, x = grad_and_signal(t)
+            lines.append(line)
+            return line, x
+        return run_descent(state, objective, recorded, cfg)
+
+    monkeypatch.setattr(mhtgd, "run_descent", spy)
+    report = solve_mhtgd(apply_mask(sig, mask), mask, SolverConfig(seed=2))
+    assert report.converged and report.iterations == len(lines) - 1 > 5
+    assert lines[0].first is None and lines[0].slope == np.vdot(lines[0].direction,
+                                                                lines[0].direction).real
+    assert all(line.first == UNIT_TRIAL for line in lines[1:])

@@ -131,10 +131,36 @@ def test_projection_pythagoras(apply_, adjoint):
 # ---------- fast paths vs dense ----------
 
 
+def _is_11_smooth(P):
+    for f in (2, 3, 5, 7, 11):
+        while P % f == 0:
+            P //= f
+    return P == 1
+
+
 def test_fft_length():
-    for n in (1, 2, 3, 5, 16, 33, 1024):
+    # the smallest 11-smooth length >= 2n - 1, checked against a scan from 2n - 1
+    for n in (1, 2, 3, 5, 6, 14, 16, 33, 128, 1024, 2048):
         P = ops.fft_length(n)
-        assert P >= 2 * n and P < 4 * n and (P & (P - 1)) == 0
+        assert P >= 2 * n - 1 and _is_11_smooth(P)
+        assert not any(_is_11_smooth(Q) for Q in range(2 * n - 1, P))
+    assert [ops.fft_length(n) for n in (1, 3, 6, 14, 33, 128, 1024, 2048)] == \
+        [1, 5, 11, 27, 66, 256, 2048, 4096]
+
+
+@pytest.mark.parametrize("n", [3, 6, 14])  # P = 2n - 1 = 5, 11, 27: odd, and no room to spare
+def test_fast_paths_match_dense_at_odd_lengths(n):
+    assert ops.fft_length(n) == 2 * n - 1
+    rng = np.random.default_rng(n)
+    v = randc(rng, 2 * n - 1)
+    A, B = randc(rng, n, 3), randc(rng, n, 3)
+    for kind, apply_, adjoint in (("hankel", ops.g_apply, ops.g_adjoint),
+                                  ("toeplitz", ops.w_apply, ops.w_adjoint)):
+        want = apply_(v) @ A
+        assert np.max(np.abs(ops.fast_lift_mul(kind, v, A) - want)) <= 1e-10 * np.max(np.abs(want))
+        want = adjoint(A @ B.conj().T)
+        got = ops.fast_adjoint_lowrank(kind, A, B)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("kind,apply_", [("hankel", ops.g_apply), ("toeplitz", ops.w_apply)])

@@ -47,6 +47,20 @@ def test_dims_rejects(kw):
         ProblemDims(**kw)
 
 
+@pytest.mark.parametrize("field,value", [("N", 33.5), ("L", True), ("K", 2.0), ("M", 10.5),
+                                         ("N", "33")])
+def test_dims_reject_non_integer_sizes_by_name(field, value):
+    kw = dict(N=33, L=2, K=2, M=20)
+    kw[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        ProblemDims(**kw)
+
+
+def test_dims_store_plain_ints():
+    d = ProblemDims(N=np.int64(33), L=np.int32(2), K=2, M=20)
+    assert all(type(v) is int for v in (d.N, d.L, d.K, d.M)) and d.full_N == 33
+
+
 # ---------- model validation ----------
 
 
@@ -159,10 +173,18 @@ def test_random_model_rejects_nan_separation_up_front():
 
 
 def test_random_model_exhausts_budget():
-    # K * min_sep == 1 is admissible only on a measure-zero set
+    # at K = 2 a draw is admissible with probability 1 - 2 min_sep = 2e-9
     dims = ProblemDims(N=65, L=1, K=2, M=40)
     with pytest.raises(GenerationError):
-        random_model(dims, min_sep=0.5, seed=0)
+        random_model(dims, min_sep=0.5 - 1e-9, seed=0)
+
+
+def test_random_model_bound_is_strict_for_pairs_only():
+    # K * min_sep == 1 is admissible only on a measure-zero set, so it is refused up front
+    with pytest.raises(ValueError, match="cannot place K=2"):
+        random_model(ProblemDims(N=65, L=1, K=2, M=40), min_sep=0.5, seed=0)
+    # a single frequency has no pairs to separate
+    assert random_model(ProblemDims(N=9, L=1, K=1, M=5), min_sep=2.0, seed=0).K == 1
 
 
 def test_random_model_single_frequency():
