@@ -115,9 +115,9 @@ def _objective_stacked(t: Trial, obs: Observed):
 
 
 def _gradient(t: Trial, FZ, obs: Observed):
-    """(G, D): the gradient at the Trial ``t``, from its transforms ``FZ`` and
-    its lifts, and the Gram-scaled direction D_l = G_l P_l^{-1} (module
-    docstring)."""
+    """(G, D, None): the gradient at the Trial ``t``, from its transforms
+    ``FZ`` and its lifts, the Gram-scaled direction D_l = G_l P_l^{-1}
+    (module docstring), and no first trial of its own."""
     z, h, hw = t.z, t.h, t.hw
     L, n, K = z.shape
     v = np.where(obs.maskb, h - obs.yT, 0.0) / obs.p - h
@@ -139,7 +139,7 @@ def _gradient(t: Trial, FZ, obs: Observed):
     reg = DAMPING / K * np.trace(gram, axis1=-2, axis2=-1).real
     reg[reg <= 0.0] = 1.0
     P = gram.conj() + reg[:, None, None] * np.eye(K)
-    return grad, grad @ np.linalg.inv(P)
+    return grad, grad @ np.linalg.inv(P), None
 
 
 def objective_g(factors: FactorSetC, y: np.ndarray, mask: SamplingMask,

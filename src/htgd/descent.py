@@ -233,9 +233,10 @@ class Line(NamedTuple):
 def gradient_line(state: Trial, obs: Observed, transforms: Callable, kernel_args: Callable,
                   gradient: Callable) -> tuple:
     """(Line, x) at the Trial ``state``, from a solver's ``transforms(z)``,
-    ``kernel_args(F)`` and ``gradient(t, F, obs)``, which returns (G, D): the
-    gradient at the Trial t and the direction to descend along; x = h0 /
-    omega is the signal the state reconstructs, (L, full_N).
+    ``kernel_args(F)`` and ``gradient(t, F, obs)``, which returns (G, D,
+    first): the gradient at the Trial t, the direction to descend along and
+    the Line's first trial step (None for :func:`armijo_step`'s BB2 rule);
+    x = h0 / omega is the signal the state reconstructs, (L, full_N).
 
     F and the lifts (h0, hw0) are the Trial's; FD, of the direction, is the
     one transform made here.  The lifts are quadratic in the state, so along
@@ -243,7 +244,7 @@ def gradient_line(state: Trial, obs: Observed, transforms: Callable, kernel_args
     the same for hw (:func:`operators.line_adjoints`).
     """
     z, h0, hw0, F = state.z, state.h, state.hw, state.transforms()
-    grad, direction = gradient(state, F, obs)
+    grad, direction, first = gradient(state, F, obs)
     FD = transforms(direction)
     h1, h2, hw1, hw2 = ops.line_adjoints(*kernel_args(F), *kernel_args(FD),
                                          (len(obs.w) + 1) // 2)
@@ -252,7 +253,7 @@ def gradient_line(state: Trial, obs: Observed, transforms: Callable, kernel_args
         return Trial(z - eta * direction, h0 - eta * (h1 - eta * h2),
                      hw0 - eta * (hw1 - eta * hw2), F, FD, eta)
 
-    return Line(direction, at, float(np.vdot(grad, direction).real)), h0 / obs.w
+    return Line(direction, at, float(np.vdot(grad, direction).real), first), h0 / obs.w
 
 
 class ArmijoResult(NamedTuple):

@@ -20,11 +20,20 @@ The Takagi factorisation A = U diag(s) U^T of a complex symmetric A is
 recovered from the SVD A = Us diag(s) V^H by the per-column phase
 correction U = Us sqrt(diag(Us^H conj(V))).  When singular values
 cluster (gap below _CLUSTER_RTOL * s[0]) that diagonal degenerates to a
-unitary symmetric block B, handled by its principal matrix square root
-(``scipy.linalg.sqrtm``); the fallback is reported with a warning.  It is
-the only SciPy use of the package, so SciPy is imported there, on first
-use: importing ``htgd`` and every solve, ESPRIT call and self-test that
-never meets clustered values load numpy only.
+symmetric block B = Us^H conj(V), and the cluster's vectors become Us W
+for a symmetric square root W of B (``_symmetric_sqrt``); the block is
+reported with a warning.  The root is a Denman-Beavers iteration on cB,
+where the unit c turns the middle of the widest gap between B's
+eigenvalue angles to -1, so cB has a principal root; W = conj(c)^{1/2}
+times that root.  B is unitary when the range finder captures the whole
+cluster, but not always: in the constant-amplitude inits at N=33, L=2,
+K=3, M=1 (model and mask seeds 0-4) it caught part of the cluster, and the
+10 blocks had max |B^H B - I| of 0.37-0.93.  A Cayley-transform root,
+exact only for unitary B, missed max |W^2 - B| by 0.20-0.78 on them, this
+one by at most 6.6e-16.  The iteration inverts its iterates, so on a singular
+B it finds no root; a W that fails ||W^2 - B|| <= _ROOT_CHECK ||B|| is
+not used, and the cluster keeps its SVD vectors, as a zero diagonal entry
+keeps its column.  The package needs numpy alone.
 """
 
 from __future__ import annotations
@@ -39,6 +48,9 @@ from .signals import make_rng
 _CLUSTER_RTOL = 1e-10
 _OVERSAMPLE = 8
 _POWER_ITERS = 2
+_ROOT_RTOL = 1e-15   # relative change of Y that ends the square-root iteration
+_ROOT_ITERS = 64     # its step cap: ill-conditioned blocks level off above _ROOT_RTOL
+_ROOT_CHECK = 1e-8   # largest ||W^2 - B|| / ||B|| taken as a root
 
 
 def _range_finder_rng(words: tuple):
@@ -99,6 +111,41 @@ def _cluster_slices(s: np.ndarray) -> list:
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
+def _symmetric_sqrt(B: np.ndarray) -> np.ndarray | None:
+    """A symmetric square root W of the complex symmetric B, W @ W = B, or
+    None when none is found: an iterate is singular, or W misses
+    ||W^2 - B|| <= _ROOT_CHECK ||B||, as on a singular B (module docstring).
+
+    c = exp(i (pi - mid)) turns the middle ``mid`` of the widest gap
+    between B's eigenvalue angles to -1, so cB has no eigenvalue on the
+    negative real axis; the Denman-Beavers iteration (Denman & Beavers,
+    *Appl. Math. Comput.* 2, 1976) Y <- (Y + Z^{-1}) / 2, Z <- (Z + Y^{-1}) / 2
+    from (cB, I) takes Y to the principal root of cB, and
+    W = conj(c)^{1/2} Y.  Every iterate is a rational function of B, so
+    symmetric up to roundoff.  It stops once Y changes by at most
+    _ROOT_RTOL relative, or after _ROOT_ITERS steps, since on an
+    ill-conditioned B the change levels off above that.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # not finite: None below
+        try:
+            angles = np.sort(np.angle(np.linalg.eigvals(B)))
+            gaps = np.diff(angles, append=angles[0] + 2.0 * np.pi)
+            i = np.argmax(gaps)
+            c = -np.exp(-1j * (angles[i] + 0.5 * gaps[i]))
+            Y, Z = c * B, np.eye(len(B), dtype=complex)
+            for _ in range(_ROOT_ITERS):
+                Y, Z, prev = 0.5 * (Y + np.linalg.inv(Z)), 0.5 * (Z + np.linalg.inv(Y)), Y
+                if np.linalg.norm(Y - prev) <= _ROOT_RTOL * np.linalg.norm(Y):
+                    break
+        except np.linalg.LinAlgError:  # a singular iterate
+            return None
+        W = np.sqrt(np.conj(c)) * Y
+        resid = np.linalg.norm(W @ W - B)
+    if not resid <= _ROOT_CHECK * np.linalg.norm(B):  # NaN fails too
+        return None
+    return W
+
+
 def _takagi_phase_correct(U: np.ndarray, s: np.ndarray, V: np.ndarray, K: int) -> tuple:
     """Rotate SVD left vectors into Takagi vectors; returns (U, used_block_fallback)."""
     U = U.copy()
@@ -117,12 +164,11 @@ def _takagi_phase_correct(U: np.ndarray, s: np.ndarray, V: np.ndarray, K: int) -
             d = d / mag if mag > 0 else 1.0
             U[:, sl.start] *= np.sqrt(d)
         else:
-            from scipy.linalg import sqrtm  # deferred: it would double the cold start
-
             B = U[:, sl].conj().T @ V[:, sl].conj()
-            B = 0.5 * (B + B.T)  # unitary symmetric up to roundoff
-            W = sqrtm(B)
-            U[:, sl] = U[:, sl] @ W
+            B = 0.5 * (B + B.T)  # symmetric up to roundoff
+            W = _symmetric_sqrt(B)
+            if W is not None:  # a singular block keeps its SVD vectors, as a zero d does
+                U[:, sl] = U[:, sl] @ W
             used_block = True
     return U, used_block
 

@@ -146,8 +146,9 @@ def _objective_stacked(t: Trial, obs: Observed):
 
 
 def _gradient(t: Trial, F, obs: Observed):
-    """(G, G): the gradient at the Trial ``t``, from its transforms ``F`` and
-    its lifts, and the direction, G itself."""
+    """(G, G, None): the gradient at the Trial ``t``, from its transforms
+    ``F`` and its lifts, the direction, G itself, and no first trial of its
+    own."""
     state, h, hw = t.z, t.h, t.hw
     L, two_n, K = state.shape
     n = two_n // 2
@@ -164,21 +165,20 @@ def _gradient(t: Trial, F, obs: Observed):
     gz1 = 0.5 * (np.conj(gv_z2c) - ww_z1 + z1 @ (g11 + g22) + L * (sum1 - sum2))
     gz2 = 0.5 * (gv_z1 + z2 @ (g11 + L * L * g22) - L * sum3)
     grad = np.concatenate([gz1, gz2], axis=1)
-    return grad, grad
+    return grad, grad, None
 
 
 class LbfgsDirection:
     """One solve's L-BFGS direction, in compact form.
 
     Called once per accepted iterate, in order, in place of
-    :func:`_gradient`: ``direction(t, F, obs)`` returns (G, D) with D = H G,
-    H the inverse-Hessian approximation of the last ``MEMORY`` pairs
-    (s, y) = (z_k - z_{k-1}, G_k - G_{k-1}), H0 = gamma I with gamma =
-    Re<s, y> / ||y||^2 of the newest pair, and sets ``first`` to
-    ``UNIT_TRIAL`` for the line along D.  It stays G, with ``first`` None,
-    at the first iterate, when no pair is kept, and when D fails
-    Re<G, D> > 0 or is not finite, which also clears the memory; a pair
-    with Re<s, y> not positive and finite is skipped.
+    :func:`_gradient`: ``direction(t, F, obs)`` returns (G, D, UNIT_TRIAL)
+    with D = H G, H the inverse-Hessian approximation of the last
+    ``MEMORY`` pairs (s, y) = (z_k - z_{k-1}, G_k - G_{k-1}), H0 = gamma I
+    with gamma = Re<s, y> / ||y||^2 of the newest pair.  It returns
+    (G, G, None) at the first iterate, when no pair is kept, and when D
+    fails Re<G, D> > 0 or is not finite, which also clears the memory; a
+    pair with Re<s, y> not positive and finite is skipped.
 
     ``size`` is the number of complex entries of the state.  The inner
     product is the real one, so the pairs are kept as float64 views of the
@@ -205,17 +205,16 @@ class LbfgsDirection:
         self._count = 0                       # pairs kept
         self._next = 0                        # the slot the next pair goes to
         self._started = False                 # whether the s and y rows hold an iterate
-        self.first = None
 
     def __call__(self, t: Trial, F, obs: Observed):
         grad = _gradient(t, F, obs)[0]
-        return grad, self.step(t.z, grad)
+        return (grad, *self.step(t.z, grad))
 
-    def step(self, z: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        """D at the iterate z with gradient ``grad``, the base of the next pair."""
+    def step(self, z: np.ndarray, grad: np.ndarray) -> tuple:
+        """(D, first trial) at the iterate z with gradient ``grad``, the base
+        of the next pair: (H G, UNIT_TRIAL), or (G, None) without one."""
         zr, g = z.reshape(-1).view(np.float64), grad.reshape(-1).view(np.float64)
         work = self._work
-        self.first = None
         d = None
         if self._started:
             with np.errstate(over="ignore", invalid="ignore"):  # not finite: skipped or reset
@@ -226,9 +225,8 @@ class LbfgsDirection:
         work[1], work[2] = zr, g
         self._started = True
         if d is None:
-            return grad
-        self.first = UNIT_TRIAL
-        return d.view(np.complex128).reshape(grad.shape)
+            return grad, None
+        return d.view(np.complex128).reshape(grad.shape), UNIT_TRIAL
 
     def _direction(self, zr, g):
         """H g from the real views of z and G, after keeping the pair they
@@ -312,11 +310,9 @@ def solve_mhtgd(observations: MultichannelSignal, mask: SamplingMask,
     obs = weigh_observations(observations, mask)
     init = spectral_init(obs.yT.T, mask, observations.dims, seed=cfg.seed)
     direction = LbfgsDirection(2 * init.z1.size)
-
-    def grad_and_signal(state):
-        line, x = gradient_line(state, obs, _transforms, _kernel_args, direction)
-        return line._replace(first=direction.first), x
-
     out = run_descent(start_point(init.stacked(), obs, _transforms, _kernel_args),
-                      lambda state: _objective_stacked(state, obs), grad_and_signal, cfg)
+                      lambda state: _objective_stacked(state, obs),
+                      lambda state: gradient_line(state, obs, _transforms, _kernel_args,
+                                                  direction),
+                      cfg)
     return solver_report(out, obs.e, observations.dims, ground_truth)

@@ -17,6 +17,7 @@ from htgd.signals import (
     MultichannelSignal,
     ProblemDims,
     SamplingMask,
+    SpectralModel,
     apply_mask,
     make_rng,
     random_model,
@@ -146,6 +147,26 @@ def test_solve_recovers_fully_observed_signal():
     assert report.nmse <= 1e-10
     trace = np.asarray(report.objective_trace)
     assert np.all(np.diff(trace) <= 1e-12 * (1 + trace[0]))
+
+
+def test_solve_recovers_a_signal_with_tied_singular_values():
+    # unit amplitudes 5/17 apart: the n = 17 steering columns are orthogonal, so
+    # every channel's lift has two equal singular values and the init's Takagi
+    # vectors come from the clustered block's square root
+    dims = ProblemDims(N=33, L=2, K=2, M=33)
+    model = SpectralModel(freqs=[0.1, 0.1 + 5 / 17], amps=np.ones((2, 2)),
+                          phases=[[0.3, 1.1], [2.0, -0.7]], is_ca=True)
+    sig = synthesize(model, dims)
+    mask = SamplingMask(indices=np.arange(1, 34), N=33)
+    y = ops.weight_vector(33).omega[:, None] * sig.data
+    with pytest.warns(UserWarning, match="clustered"):
+        init = spectral_init_ca(y, mask, dims)
+    for l in range(2):
+        lift = ops.g_apply(y[:, l])
+        assert np.linalg.norm(init.z[l] @ init.z[l].T - lift) <= 1e-12 * np.linalg.norm(lift)
+    with pytest.warns(UserWarning, match="clustered"):
+        report = solve_chtgd(sig, mask, SolverConfig(), ground_truth=sig)
+    assert report.converged and report.nmse <= 1e-20
 
 
 def test_solve_recovers_subsampled_signal():

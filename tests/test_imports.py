@@ -1,7 +1,8 @@
-"""Cold-start imports: SciPy is loaded only by the clustered-value Takagi fallback.
+"""Imports: the package needs NumPy alone, and loads no SciPy.
 
-Each check runs in a fresh interpreter, since the test session may already
-have imported SciPy (the block-fallback test of test_lowrank.py does).
+Each check runs in a fresh interpreter, so that the modules it finds loaded,
+or the ones it blocks, are those of the code it runs and not of the test
+session.
 """
 
 import json
@@ -55,29 +56,42 @@ def test_solves_esprit_and_selftest_load_no_scipy():
     assert out["scipy"] == []
 
 
-def test_clustered_takagi_fallback_imports_scipy_on_first_use():
+def test_package_runs_with_scipy_blocked():
+    # sys.modules["scipy"] = None makes every scipy import raise ImportError
     out = run_fresh("""
         import json, sys, warnings
+        sys.modules["scipy"] = None
         import numpy as np
+        import htgd.cli
         import htgd.operators as ops
+        from htgd.chtgd import solve_chtgd
+        from htgd.descent import SolverConfig
         from htgd.lowrank import randomized_lift_svd, takagi_vectors
+        from htgd.signals import (ProblemDims, apply_mask, random_model, sample_mask,
+                                  synthesize)
 
         # G(omega * [0, 1, 0]) = [[0, 1], [1, 0]]: two unit singular values
         v = ops.weight_vector(3).omega * np.array([0.0, 1.0, 0.0], dtype=complex)
-        before = "scipy.linalg" in sys.modules
         U, s, V = randomized_lift_svd(v, 2, seed=0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             U = takagi_vectors(U, s, V)
+            # the M = 1 chtgd edge case of test_descent.py, whose init meets the block
+            dims = ProblemDims(N=33, L=2, K=2, M=1)
+            sig = synthesize(random_model(dims, min_sep=1.5 / 33, is_ca=True, seed=3), dims)
+            mask = sample_mask(dims, seed=(3, 1))
+            report = solve_chtgd(apply_mask(sig, mask), mask,
+                                 SolverConfig(max_iter=300, seed=1), ground_truth=sig)
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
         print(json.dumps({
-            "before": before,
-            "after": "scipy.linalg" in sys.modules,
             "warnings": [str(w.message) for w in caught],
             "err": float(np.max(np.abs(U @ np.diag(s) @ U.T - A))),
+            "stop": report.stop_reason,
+            "finite": bool(np.all(np.isfinite(report.x_hat))),
+            "selftest": htgd.cli.main(["selftest"]),
         }))
     """)
-    assert not out["before"]
-    assert any("clustered" in w for w in out["warnings"])
+    assert sum("clustered" in w for w in out["warnings"]) == 2
     assert out["err"] <= 1e-10
-    assert out["after"]
+    assert out["stop"] == "converged" and out["finite"]
+    assert out["selftest"] == 0

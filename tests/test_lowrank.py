@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import htgd.operators as ops
-from htgd.lowrank import _takagi_phase_correct, randomized_lift_svd, takagi_vectors
+from htgd.lowrank import (
+    _symmetric_sqrt,
+    _takagi_phase_correct,
+    randomized_lift_svd,
+    takagi_vectors,
+)
 from htgd.signals import make_rng
 
 
@@ -170,6 +175,47 @@ def test_takagi_clustered_pair_uses_block_and_warns():
     np.testing.assert_allclose(s, [1.0, 1.0])
     np.testing.assert_allclose(U @ np.diag(s) @ U.T, A, atol=1e-10)
     np.testing.assert_allclose(U.conj().T @ U, np.eye(2), atol=1e-10)
+
+
+def symmetric_block(kind, k, rng):
+    """A k x k complex symmetric block: unitary O diag(e^{i theta}) O^T with a
+    repeated angle or a double eigenvalue -1, or a general A + A^T."""
+    if kind == "general":
+        A = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        return A + A.T
+    O, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    theta = rng.uniform(-np.pi, np.pi, k)
+    if kind == "repeated":
+        theta[1] = theta[0]
+    else:
+        theta[:2] = np.pi
+    return (O * np.exp(1j * theta)) @ O.T
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["repeated", "minus_one", "general"]), k=st.integers(2, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_symmetric_sqrt_is_a_symmetric_root(kind, k, seed):
+    B = symmetric_block(kind, k, make_rng(seed))
+    W = _symmetric_sqrt(B)
+    assert np.max(np.abs(W @ W - B)) <= 1e-12 * max(1.0, np.max(np.abs(B)))
+    assert np.max(np.abs(W - W.T)) <= 1e-13
+
+
+@pytest.mark.parametrize("u", [[1.0, 1.0j], [3.0, 4.0j], [1.0, 1.0, 2**0.5 * 1j]],
+                         ids=["nilpotent", "rank1", "nilpotent3"])
+def test_singular_block_keeps_the_svd_vectors(u):
+    # B = u u^T is singular, and the iteration, which inverts, finds no root
+    # (none exists when u^T u = 0): the cluster keeps its SVD vectors
+    u = np.array(u)
+    B = np.outer(u, u)
+    assert _symmetric_sqrt(B) is None
+    k = len(u)
+    U = np.eye(k + 1, k, dtype=complex)
+    V = (U @ B).conj()  # so that U^H conj(V) = B
+    out, used = _takagi_phase_correct(U, np.ones(k), V, k)
+    assert used and np.all(np.isfinite(out))
+    np.testing.assert_array_equal(out, U)
 
 
 @pytest.mark.parametrize("n,K", [(6, 2), (11, 4)])

@@ -270,15 +270,15 @@ def test_lbfgs_direction_equals_the_two_loop_recursion(iterates):
     for k in range(iterates):
         z = point()
         G = grad(z)
-        D = direction.step(z, G)
+        D, first = direction.step(z, G)
         assert D.shape == G.shape and D.dtype == G.dtype
         if prev is None:
-            assert D is G and direction.first is None
+            assert D is G and first is None
         else:
             pairs = (pairs + [(real(z) - real(prev[0]), real(G) - real(prev[1]))])[-MEMORY:]
             want = two_loop(real(G), pairs)
             assert np.linalg.norm(real(D) - want) <= 1e-12 * np.linalg.norm(want)
-            assert direction.first == UNIT_TRIAL
+            assert first == UNIT_TRIAL
         prev = (z, G)
 
 
@@ -292,7 +292,7 @@ def test_lbfgs_direction_skips_a_pair_without_positive_curvature():
     # the next gradient turns back along s, so Re<s, y> < 0: skipped, the kept pair stays
     z2 = point()
     G2 = grad(z1) - 3.0 * (z2 - z1)
-    D = direction.step(z2, G2)
+    D, _ = direction.step(z2, G2)
     pair = (real(z1) - real(z0), real(grad(z1)) - real(grad(z0)))
     assert real(z2 - z1) @ real(G2 - grad(z1)) < 0
     want = two_loop(real(G2), [pair])
@@ -300,7 +300,8 @@ def test_lbfgs_direction_skips_a_pair_without_positive_curvature():
     # a skipped first pair leaves no memory: the direction is G
     fresh = LbfgsDirection(8)
     fresh.step(z1, grad(z1))
-    assert fresh.step(z2, G2) is G2 and fresh.first is None
+    D, first = fresh.step(z2, G2)
+    assert D is G2 and first is None
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -313,17 +314,21 @@ def test_lbfgs_direction_resets_to_the_gradient_when_not_a_descent():
         direction.step(z, grad(z))
     # a zero gradient makes D = 0, so Re<G, D> = 0: D is G and the memory is cleared
     zero = np.zeros(shape, dtype=complex)
-    assert direction.step(point(), zero) is zero and direction.first is None
+    D, first = direction.step(point(), zero)
+    assert D is zero and first is None
     z1 = point()
     G1 = grad(z1)
-    assert direction.step(z1, G1) is not G1  # one new pair, from the zero-gradient iterate
+    D, first = direction.step(z1, G1)
+    assert D is not G1 and first == UNIT_TRIAL  # one new pair, from the zero-gradient iterate
     # a non-finite D: also G, with the memory cleared
     bad = grad(point())
     bad[0, 0, 0] = np.inf
-    assert direction.step(point(), bad) is bad and direction.first is None
+    D, first = direction.step(point(), bad)
+    assert D is bad and first is None
     z2 = point()
     G2 = grad(z2)
-    assert direction.step(z2, G2) is G2 and direction.first is None  # inf in y: skipped
+    D, first = direction.step(z2, G2)
+    assert D is G2 and first is None  # inf in y: skipped
 
 
 def test_solve_starts_with_the_plain_gradient_then_takes_lbfgs_lines(monkeypatch):
