@@ -13,9 +13,11 @@ second factor:
 
 with channel 1 anchoring the Toeplitz structure penalty.  The objective
 and gradient read the lifts of a ``descent.Trial`` (``descent.start_point``,
-``descent.gradient_line``) and make none; FFTs run through the same
-``operators`` kernels as the two-factor solver.  The gradient G is again the
-conjugate Wirtinger derivative, so directional derivatives equal 2 Re<G, D>.
+``descent.gradient_line``) and make none, and the gradient reads the
+Grams and masked residual that the objective left in the Trial's
+``carry``; FFTs run through the same ``operators`` kernels as the
+two-factor solver.  The gradient G is again the conjugate Wirtinger
+derivative, so directional derivatives equal 2 Re<G, D>.
 
 The descent runs along the Gram-scaled direction
 
@@ -95,35 +97,44 @@ def _kernel_args(FZ):
     return FZ, FZ, FZ[:1]
 
 
+def _point_algebra(t: Trial, obs: Observed):
+    """(resid, gram) at the Trial ``t``: the masked residual
+    where(mask, h - yT, 0) and the Grams z_l^H z_l, which the objective and
+    the gradient both read."""
+    return np.where(obs.maskb, t.h - obs.yT, 0.0), t.z.swapaxes(-2, -1).conj() @ t.z
+
+
 def _objective_stacked(t: Trial, obs: Observed):
+    """The objective at the Trial ``t``; its point algebra goes to ``t.carry``,
+    where the gradient finds it if ``t`` is the accepted trial."""
     z, h, hw = t.z, t.h, t.hw
-    L, n, _ = z.shape
-    resid = np.where(obs.maskb, h - obs.yT, 0.0)
-    t1 = np.sum(np.abs(resid) ** 2) / (4.0 * obs.p)
-    gram = np.swapaxes(z, -2, -1).conj() @ z
-    lr_h = np.sum((gram * gram).real, axis=(-2, -1))
-    t2 = 0.25 * np.sum(np.maximum(lr_h - np.sum(np.abs(h) ** 2, axis=-1), 0.0))
-    lr_w = float(np.sum(np.abs(gram[0]) ** 2))
-    t3 = 0.25 * max(lr_w - float(np.sum(np.abs(hw) ** 2)), 0.0)
+    L = z.shape[0]
+    t.carry["algebra"] = resid, gram = _point_algebra(t, obs)
+    t1 = (np.abs(resid) ** 2).sum() / (4.0 * obs.p)
+    lr_h = (gram * gram).real.sum(axis=(-2, -1))
+    t2 = 0.25 * np.maximum(lr_h - (np.abs(h) ** 2).sum(axis=-1), 0.0).sum()
+    lr_w = float((np.abs(gram[0]) ** 2).sum())
+    t3 = 0.25 * max(lr_w - float((np.abs(hw) ** 2).sum()), 0.0)
     t4 = 0.0
     if L > 1:
-        norms = np.sum(np.abs(gram) ** 2, axis=(1, 2))
+        norms = (np.abs(gram) ** 2).sum(axis=(1, 2))
         cross = z[0].conj().T @ z[1:]
-        cross_norms = np.sum(np.abs(cross) ** 2, axis=(1, 2))
-        t4 = 0.25 * np.sum(np.maximum(norms[0] + norms[1:] - 2.0 * cross_norms, 0.0))
+        cross_norms = (np.abs(cross) ** 2).sum(axis=(1, 2))
+        t4 = 0.25 * np.maximum(norms[0] + norms[1:] - 2.0 * cross_norms, 0.0).sum()
     return float(t1 + t2 + t3 + t4)
 
 
 def _gradient(t: Trial, FZ, obs: Observed):
     """(G, D, None): the gradient at the Trial ``t``, from its transforms
-    ``FZ`` and its lifts, the Gram-scaled direction D_l = G_l P_l^{-1}
+    ``FZ``, its lifts and the point algebra its objective carried (made here
+    when it carries none), the Gram-scaled direction D_l = G_l P_l^{-1}
     (module docstring), and no first trial of its own."""
     z, h, hw = t.z, t.h, t.hw
     L, n, K = z.shape
-    v = np.where(obs.maskb, h - obs.yT, 0.0) / obs.p - h
+    resid, gram = t.carry.pop("algebra", None) or _point_algebra(t, obs)  # gram: z_l^H z_l
+    v = resid / obs.p - h
     # G(v_l) conj(z_l) from the transforms of z_l, and W(hw) z_1
     gv_zc, ww_z1 = ops.lift_products_from_transforms(v, (FZ,), hw, FZ[:1])
-    gram = np.swapaxes(z, -2, -1).conj() @ z  # z_l^H z_l
     grad = np.empty_like(z)
     grad[0] = gv_zc[0] - ww_z1[0] + z[0] @ (gram[0].conj() + L * gram[0])
     if L > 1:
@@ -136,7 +147,7 @@ def _gradient(t: Trial, FZ, obs: Observed):
                     - z[0] @ anchor)
     grad *= 0.5
     # P_l = conj(z_l^H z_l) + DAMPING tr/K I; a zero factor has a zero Gram and takes P_l = I
-    reg = DAMPING / K * np.trace(gram, axis1=-2, axis2=-1).real
+    reg = DAMPING / K * gram.trace(axis1=-2, axis2=-1).real
     reg[reg <= 0.0] = 1.0
     P = gram.conj() + reg[:, None, None] * np.eye(K)
     return grad, grad @ np.linalg.inv(P), None

@@ -63,7 +63,9 @@ are quadratics in eta.  :func:`gradient_line` thus transforms one array,
 the new direction, and returns a :class:`Line` whose trial points
 (:class:`Trial`) carry h(eta) = h0 - eta h1 + eta^2 h2, at a cost of
 O(L K N log N + L^2 K^2 N).  A trial costs O(L N + L^2 K^2 N) and no FFT;
-the accepted one hands its lifts and transforms to the next gradient call.
+the accepted one hands its lifts and transforms to the next gradient call,
+and in ``Trial.carry`` the K x K Grams and masked residual its objective
+evaluation made, so that call makes none of them again.
 """
 
 from __future__ import annotations
@@ -189,7 +191,11 @@ class Trial(NamedTuple):
     are the carried ``F - eta * FD``, formed by :meth:`transforms` only
     when the trial is accepted and the next gradient needs them.  A start
     point (:func:`start_point`) has FD = 0 and eta = 0, so its transforms
-    are F itself.
+    are F itself.  ``carry`` starts empty; a solver's objective leaves in
+    it what its gradient reads again at the same point (the Grams and the
+    masked residual), and the gradient takes them out, so they are freed
+    before the next line search; a gradient at a point the objective has
+    not seen makes them itself.
     """
 
     z: np.ndarray
@@ -198,9 +204,15 @@ class Trial(NamedTuple):
     F: np.ndarray
     FD: np.ndarray
     eta: float
+    carry: dict
 
     def transforms(self) -> np.ndarray:
-        return self.F - self.eta * self.FD
+        if not self.eta:
+            return self.F
+        # one buffer, and FD is not scaled in place: every trial of the line shares it
+        out = np.multiply(self.FD, -self.eta)
+        out += self.F
+        return out
 
 
 def start_point(z: np.ndarray, obs: Observed, transforms: Callable,
@@ -209,7 +221,7 @@ def start_point(z: np.ndarray, obs: Observed, transforms: Callable,
     lifts (h, hw) from them, with a zero step so that ``transforms()`` is F."""
     F = transforms(z)
     h, hw = ops.adjoints_from_transforms(*kernel_args(F), (len(obs.w) + 1) // 2)
-    return Trial(z, h, hw, F, 0, 0.0)
+    return Trial(z, h, hw, F, 0, 0.0, {})
 
 
 class Line(NamedTuple):
@@ -251,7 +263,7 @@ def gradient_line(state: Trial, obs: Observed, transforms: Callable, kernel_args
 
     def at(eta: float) -> Trial:
         return Trial(z - eta * direction, h0 - eta * (h1 - eta * h2),
-                     hw0 - eta * (hw1 - eta * hw2), F, FD, eta)
+                     hw0 - eta * (hw1 - eta * hw2), F, FD, eta, {})
 
     return Line(direction, at, float(np.vdot(grad, direction).real), first), h0 / obs.w
 

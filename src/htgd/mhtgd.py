@@ -14,7 +14,9 @@ Everything is evaluated in factored form: the structure terms through
 the projector identity ||(I - P) M||_F^2 = ||M||_F^2 - ||lift* M||^2,
 the coupling term through K x K Gram matrices, and every FFT through
 the ``operators`` kernels.  The objective and ``_gradient`` read the
-lifts a ``descent.Trial`` carries and make none; ``descent.start_point``
+lifts a ``descent.Trial`` carries and make none, and the gradient reads
+the Grams and masked residual that the objective left in the Trial's
+``carry``; ``descent.start_point``
 and ``descent.gradient_line`` build the Trials from ``_transforms``,
 ``_kernel_args`` and ``_gradient``.  A gradient costs O(L K N log N +
 L^2 K^2 N), an objective at a line-search trial O(L N + L^2 K^2 N) (see
@@ -120,44 +122,52 @@ def _grams(z1, z2):
     G1full = Z1f.conj().T @ Z1f
     diag = np.arange(L)
     g11 = G1full.reshape(L, K, L, K)[diag, :, diag, :]
-    g22 = np.swapaxes(z2, -2, -1).conj() @ z2
+    g22 = z2.swapaxes(-2, -1).conj() @ z2
     return Z1f, Z2f, G1full, g11, g22
 
 
+def _point_algebra(t: Trial, obs: Observed):
+    """(resid, grams) at the Trial ``t``: the masked residual
+    where(mask, h - yT, 0) and the :func:`_grams` of its factors, which the
+    objective and the gradient both read."""
+    n = t.z.shape[1] // 2
+    return (np.where(obs.maskb, t.h - obs.yT, 0.0),
+            _grams(t.z[:, :n, :], t.z[:, n:, :]))
+
+
 def _objective_stacked(t: Trial, obs: Observed):
-    state, h, hw = t.z, t.h, t.hw
-    L, two_n, K = state.shape
-    n = two_n // 2
-    z1 = state[:, :n, :]
-    z2 = state[:, n:, :]
-    resid = np.where(obs.maskb, h - obs.yT, 0.0)
-    t1 = np.sum(np.abs(resid) ** 2) / (2.0 * obs.p)
-    Z1f, Z2f, G1full, g11, g22 = _grams(z1, z2)
-    lr_h = np.sum(g22 * np.swapaxes(g11, -2, -1), axis=(-2, -1)).real
-    t2 = 0.5 * np.sum(np.maximum(lr_h - np.sum(np.abs(h) ** 2, axis=-1), 0.0))
-    lr_w = np.sum(np.abs(g11) ** 2, axis=(-2, -1))
-    t3 = 0.25 * np.sum(np.maximum(lr_w - np.sum(np.abs(hw) ** 2, axis=-1), 0.0))
-    c2 = np.sum(np.abs(G1full) ** 2)
+    """The objective at the Trial ``t``; its point algebra goes to ``t.carry``,
+    where the gradient finds it if ``t`` is the accepted trial."""
+    h, hw = t.h, t.hw
+    L, _, K = t.z.shape
+    t.carry["algebra"] = resid, (Z1f, Z2f, G1full, g11, g22) = _point_algebra(t, obs)
+    t1 = (np.abs(resid) ** 2).sum() / (2.0 * obs.p)
+    lr_h = (g22 * g11.swapaxes(-2, -1)).sum(axis=(-2, -1)).real
+    t2 = 0.5 * np.maximum(lr_h - (np.abs(h) ** 2).sum(axis=-1), 0.0).sum()
+    lr_w = (np.abs(g11) ** 2).sum(axis=(-2, -1))
+    t3 = 0.25 * np.maximum(lr_w - (np.abs(hw) ** 2).sum(axis=-1), 0.0).sum()
+    c2 = (np.abs(G1full) ** 2).sum()
     M12 = Z1f.T @ Z2f
-    cross = np.sum(np.abs(M12) ** 2, axis=0).reshape(L, K).sum(axis=-1)
-    b2 = np.sum(np.abs(g22) ** 2, axis=(1, 2))
-    t4 = 0.25 * np.sum(np.maximum(c2 - 2.0 * L * cross + L * L * b2, 0.0))
+    cross = (np.abs(M12) ** 2).sum(axis=0).reshape(L, K).sum(axis=-1)
+    b2 = (np.abs(g22) ** 2).sum(axis=(1, 2))
+    t4 = 0.25 * np.maximum(c2 - 2.0 * L * cross + L * L * b2, 0.0).sum()
     return float(t1 + t2 + t3 + t4)
 
 
 def _gradient(t: Trial, F, obs: Observed):
     """(G, G, None): the gradient at the Trial ``t``, from its transforms
-    ``F`` and its lifts, the direction, G itself, and no first trial of its
-    own."""
+    ``F``, its lifts and the point algebra its objective carried (made here
+    when it carries none), the direction, G itself, and no first trial of
+    its own."""
     state, h, hw = t.z, t.h, t.hw
     L, two_n, K = state.shape
     n = two_n // 2
     z1 = state[:, :n, :]
     z2 = state[:, n:, :]
     F2, F1c, F1 = _kernel_args(F)
-    v = np.where(obs.maskb, h - obs.yT, 0.0) / obs.p - h
+    resid, (Z1f, Z2f, G1full, g11, g22) = t.carry.pop("algebra", None) or _point_algebra(t, obs)
+    v = resid / obs.p - h
     gv_z1, gv_z2c, ww_z1 = ops.lift_products_from_transforms(v, (F1c, F2), hw, F1)
-    Z1f, Z2f, G1full, g11, g22 = _grams(z1, z2)
     sum1 = (Z1f @ G1full).reshape(n, L, K).transpose(1, 0, 2)
     T12 = Z2f.T @ Z1f
     sum2 = (Z2f.conj() @ T12).reshape(n, L, K).transpose(1, 0, 2)
@@ -193,6 +203,12 @@ class LbfgsDirection:
         p = R^{-T} ((Dg + gamma Y^T Y) q - gamma Y^T g),
 
     R the upper triangle of S^T Y and Dg its diagonal, oldest pair first.
+    With k <= MEMORY pairs these are k x k systems, which the direction
+    solves in float arithmetic on the Gram's entries, by substitution
+    (:func:`_solve_upper`): numpy's dispatch of one LAPACK solve took
+    longer than the whole substitution.  The diagonal of S^T Y holds the
+    curvature each pair was kept for, so the substitution divides by
+    positive numbers only.
     """
 
     def __init__(self, size: int):
@@ -242,10 +258,12 @@ class LbfgsDirection:
             rows[i], rows[m + i] = work[1], work[2]
             # rows @ work.T a cache-sized block of columns at a time: one
             # product over the whole rows took about twice as long
-            prods = sum(rows[:, c:c + _BLOCK] @ work[:, c:c + _BLOCK].T
-                        for c in range(0, rows.shape[1], _BLOCK))
+            prods = rows[:, :_BLOCK] @ work[:, :_BLOCK].T
+            for c in range(_BLOCK, rows.shape[1], _BLOCK):
+                prods += rows[:, c:c + _BLOCK] @ work[:, c:c + _BLOCK].T
             gram[i], gram[m + i] = prods[:, 1], prods[:, 2]
             gram[:, i], gram[:, m + i] = prods[:, 1], prods[:, 2]
+            gram[i, m + i] = gram[m + i, i] = curvature  # R's diagonal: positive
             wg = prods[:, 0]
             self._next, self._count = (i + 1) % m, min(self._count + 1, m)
         elif self._count:
@@ -253,18 +271,38 @@ class LbfgsDirection:
         k = self._count
         if not k:
             return None
-        live = (self._next - k + np.arange(k)) % m
-        live = np.concatenate([live, m + live])  # the S rows, then the Y rows, oldest first
-        sub, sg, yg = gram[live[:, None], live], wg[live[:k]], wg[live[k:]]
-        sy, yy = sub[:k, k:], sub[k:, k:]
-        gamma = sy[-1, -1] / yy[-1, -1]
-        R = np.triu(sy)
-        q = np.linalg.solve(R, sg)
-        coef = np.zeros(2 * m + 1)
-        coef[live[:k]] = np.linalg.solve(R.T, np.diag(sy) * q + gamma * (yy @ q - yg))
-        coef[live[k:]] = -gamma * q
+        G, w = gram.tolist(), wg.tolist()
+        slots = [(self._next - k + a) % m for a in range(k)]  # oldest pair first
+        sy = [[G[a][m + b] for b in slots] for a in slots]  # S^T Y: R is its upper triangle
+        yy = [[G[m + a][m + b] for b in slots] for a in slots]
+        j = slots[-1]
+        gamma = float(gram[j, m + j] / gram[m + j, m + j])  # a zero ||y||^2 gives inf: a reset
+        q = _solve_upper(sy, [w[a] for a in slots])
+        rhs = []
+        for a in range(k):
+            yq = 0.0
+            for b in range(k):
+                yq += yy[a][b] * q[b]
+            rhs.append(sy[a][a] * q[a] + gamma * (yq - w[m + slots[a]]))
+        p = _solve_upper(sy, rhs, transposed=True)
+        coef = [0.0] * (2 * m + 1)
+        for a, slot in enumerate(slots):
+            coef[slot], coef[m + slot] = p[a], -gamma * q[a]
         coef[2 * m] = gamma
-        return coef @ self._buf[:2 * m + 1]
+        return np.array(coef) @ self._buf[:2 * m + 1]
+
+
+def _solve_upper(R, b, transposed=False):
+    """x with R x = b, or R^T x = b when ``transposed``, for the upper-triangular
+    k x k ``R`` as nested lists of floats, by substitution."""
+    k = len(b)
+    x = [0.0] * k
+    for a in (range(k) if transposed else reversed(range(k))):
+        acc = b[a]
+        for c in (range(a) if transposed else range(a + 1, k)):
+            acc -= (R[c][a] if transposed else R[a][c]) * x[c]
+        x[a] = acc / R[a][a]
+    return x
 
 
 def objective_f(factors: FactorSetM, y: np.ndarray, mask: SamplingMask,

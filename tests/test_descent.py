@@ -537,6 +537,64 @@ def test_solve_transforms_its_start_state_once(solver, is_ca, monkeypatch):
     assert len(lifted) == 1
 
 
+@pytest.mark.parametrize("module", [mhtgd, chtgd], ids=["mhtgd", "chtgd"])
+def test_gradient_from_the_objectives_carry_is_the_fresh_gradient(module):
+    # the objective leaves its Grams and masked residual on the Trial; the
+    # gradient that reads them is the one that makes its own, bit for bit
+    dims, y, mask, obs, z = line_instance(module, 4)
+    carried = start(module, z, obs)
+    module._objective_stacked(carried, obs)
+    assert carried.carry
+    fresh = start(module, z, obs)
+    for got, want in zip(module._gradient(carried, carried.F, obs)[:2],
+                         module._gradient(fresh, fresh.F, obs)[:2]):
+        np.testing.assert_array_equal(got, want)
+    # the same at a line trial, against that trial without its carry
+    line, _ = grad_and_line(module, carried, obs)
+    trial = line.at(1e-3)
+    module._objective_stacked(trial, obs)
+    assert trial.carry
+    F = trial.transforms()
+    for got, want in zip(module._gradient(trial, F, obs)[:2],
+                         module._gradient(trial._replace(carry={}), F, obs)[:2]):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("module,solver,is_ca,algebra", [
+    (mhtgd, solve_mhtgd, False, "_grams"),
+    (chtgd, solve_chtgd, True, "_point_algebra")], ids=["mhtgd", "chtgd"])
+def test_solve_makes_the_point_algebra_once_per_objective_evaluation(monkeypatch, module,
+                                                                     solver, is_ca, algebra):
+    # every gradient reads the Grams its point's objective made: none makes its own
+    objective, gradient = module._objective_stacked, module._gradient
+    make = getattr(module, algebra)
+    evaluations, made, depth = [], [], []
+
+    def counted_objective(t, obs):
+        evaluations.append(t)
+        return objective(t, obs)
+
+    def watched_gradient(*args):
+        depth.append(None)
+        try:
+            return gradient(*args)
+        finally:
+            depth.pop()
+
+    def counted_algebra(*args):
+        made.append(bool(depth))
+        return make(*args)
+
+    monkeypatch.setattr(module, "_objective_stacked", counted_objective)
+    monkeypatch.setattr(module, "_gradient", watched_gradient)
+    monkeypatch.setattr(module, algebra, counted_algebra)
+    dims, sig, mask = scale_instance(is_ca)
+    report = solver(apply_mask(sig, mask), mask, SolverConfig(seed=2))
+    assert report.converged and report.iterations > 5
+    assert len(made) == len(evaluations) > report.iterations
+    assert not any(made)  # never inside a gradient
+
+
 @pytest.mark.parametrize("master,trial", [
     (3638739982, 0), (1050108669, 2), (1570542204, 2), (1054474502, 3),
 ])

@@ -266,20 +266,38 @@ def test_lbfgs_direction_equals_the_two_loop_recursion(iterates):
     shape = (2, 6, 3)
     grad, point = convex_quadratic(shape, seed=iterates)
     direction = LbfgsDirection(int(np.prod(shape)))
+    skip = 2 * MEMORY  # this iterate's gradient turns back along s: its pair is skipped
     pairs, prev = [], None
     for k in range(iterates):
         z = point()
-        G = grad(z)
+        G = grad(z) if k != skip else prev[1] - 3.0 * (z - prev[0])
         D, first = direction.step(z, G)
         assert D.shape == G.shape and D.dtype == G.dtype
         if prev is None:
             assert D is G and first is None
         else:
-            pairs = (pairs + [(real(z) - real(prev[0]), real(G) - real(prev[1]))])[-MEMORY:]
+            s, y = real(z) - real(prev[0]), real(G) - real(prev[1])
+            if k == skip:
+                assert s @ y < 0
+            else:
+                pairs = (pairs + [(s, y)])[-MEMORY:]
             want = two_loop(real(G), pairs)
             assert np.linalg.norm(real(D) - want) <= 1e-12 * np.linalg.norm(want)
             assert first == UNIT_TRIAL
         prev = (z, G)
+
+
+@pytest.mark.parametrize("k", range(1, MEMORY + 1))
+def test_upper_triangular_solve_matches_lapack(k):
+    rng = np.random.default_rng(k)
+    # a unit-scale diagonal above the off-diagonal sums keeps R well conditioned
+    R = np.triu(rng.uniform(-1.0, 1.0, (k, k)), 1) / k + np.diag(rng.uniform(1.0, 3.0, k))
+    R *= 10.0 ** rng.uniform(-3, 3)
+    b = rng.standard_normal(k)
+    for transposed, A in ((False, R), (True, R.T)):
+        got = np.array(mhtgd._solve_upper(R.tolist(), b.tolist(), transposed))
+        want = np.linalg.solve(A, b)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_lbfgs_direction_skips_a_pair_without_positive_curvature():
