@@ -108,19 +108,17 @@ def _objective_stacked(t: Trial, obs: Observed):
     """The objective at the Trial ``t``; its point algebra goes to ``t.carry``,
     where the gradient finds it if ``t`` is the accepted trial."""
     z, h, hw = t.z, t.h, t.hw
-    L = z.shape[0]
     t.carry["algebra"] = resid, gram = _point_algebra(t, obs)
     t1 = (np.abs(resid) ** 2).sum() / (4.0 * obs.p)
     lr_h = (gram * gram).real.sum(axis=(-2, -1))
     t2 = 0.25 * np.maximum(lr_h - (np.abs(h) ** 2).sum(axis=-1), 0.0).sum()
     lr_w = float((np.abs(gram[0]) ** 2).sum())
     t3 = 0.25 * max(lr_w - float((np.abs(hw) ** 2).sum()), 0.0)
-    t4 = 0.0
-    if L > 1:
-        norms = (np.abs(gram) ** 2).sum(axis=(1, 2))
-        cross = z[0].conj().T @ z[1:]
-        cross_norms = (np.abs(cross) ** 2).sum(axis=(1, 2))
-        t4 = 0.25 * np.maximum(norms[0] + norms[1:] - 2.0 * cross_norms, 0.0).sum()
+    # the coupling penalty; with L = 1 its channel slices are empty and it is 0
+    norms = (np.abs(gram) ** 2).sum(axis=(1, 2))
+    cross = z[0].conj().T @ z[1:]
+    cross_norms = (np.abs(cross) ** 2).sum(axis=(1, 2))
+    t4 = 0.25 * np.maximum(norms[0] + norms[1:] - 2.0 * cross_norms, 0.0).sum()
     return float(t1 + t2 + t3 + t4)
 
 
@@ -137,14 +135,14 @@ def _gradient(t: Trial, FZ, obs: Observed):
     gv_zc, ww_z1 = ops.lift_products_from_transforms(v, (FZ,), hw, FZ[:1])
     grad = np.empty_like(z)
     grad[0] = gv_zc[0] - ww_z1[0] + z[0] @ (gram[0].conj() + L * gram[0])
-    if L > 1:
-        Zr = z[1:].transpose(1, 0, 2).reshape(n, (L - 1) * K)
-        # sum_q z^q (z^{q,H} z^1) over the non-anchor channels
-        grad[0] -= Zr @ (Zr.conj().T @ z[0])
-        anchor = z[0].conj().T @ z[1:]  # z^{1,H} z^l
-        grad[1:] = (gv_zc[1:]
-                    + z[1:] @ (gram[1:].conj() + gram[1:])
-                    - z[0] @ anchor)
+    # the coupling terms; with L = 1 the non-anchor slices are empty and add nothing
+    Zr = z[1:].transpose(1, 0, 2).reshape(n, (L - 1) * K)
+    # sum_q z^q (z^{q,H} z^1) over the non-anchor channels
+    grad[0] -= Zr @ (Zr.conj().T @ z[0])
+    anchor = z[0].conj().T @ z[1:]  # z^{1,H} z^l
+    grad[1:] = (gv_zc[1:]
+                + z[1:] @ (gram[1:].conj() + gram[1:])
+                - z[0] @ anchor)
     grad *= 0.5
     # P_l = conj(z_l^H z_l) + DAMPING tr/K I; a zero factor has a zero Gram and takes P_l = I
     reg = DAMPING / K * gram.trace(axis1=-2, axis2=-1).real

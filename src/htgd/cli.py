@@ -98,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="run a Monte Carlo scan from a spec file")
     p_exp.add_argument("kind", choices=("phase", "timing"))
     p_exp.add_argument("--spec", type=Path, required=True, help="spec JSON")
-    p_exp.add_argument("--out", type=Path, required=True, help="output CSV path")
+    p_exp.add_argument("--out", type=Path, required=True,
+                       help="output CSV path; its directory is created if missing")
 
     p_self = sub.add_parser("selftest", help="run built-in numerical checks")
     p_self.add_argument("--seed", type=int, default=0)
@@ -186,6 +187,7 @@ def _load_spec(path: Path, cls):
 def cmd_experiment(args) -> int:
     cls = PhaseGridSpec if args.kind == "phase" else TimingSpec
     spec = _load_spec(args.spec, cls)
+    args.out.parent.mkdir(parents=True, exist_ok=True)  # before any trial runs
     if args.kind == "phase":
         result = run_phase_grid(spec, csv_path=args.out)
         for cell in result.cells:

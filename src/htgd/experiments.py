@@ -1,14 +1,28 @@
 """Seeded Monte Carlo harness: phase-transition grids and timing scans.
 
-Child seeds derive from (master seed, cell identity, trial index), where
-the cell identity is the (M, K) pair itself rather than its position in
-the spec lists, so adding or reordering cells never changes the draws of
-existing cells.  Everything except wall-clock fields is a pure function
-of (spec, master seed).
+One trial loop, ``_trials``, serves both scans.  Trial t of the cell
+(M, K) draws its solver seed, model and mask from
+SeedSequence((master seed, M, K, t)), solves through
+``solver_for(spec.method)`` and succeeds when its NMSE is at most
+``SUCCESS_NMSE``; an exception fails that trial alone and never aborts
+the scan.  The cell identity is the (M, K) pair itself rather than its
+position in the spec lists, so adding or reordering cells never changes
+the draws of existing cells.  Everything except wall-clock fields is a
+pure function of (spec, master seed).
 
-CSV layout: one `# generated:` timestamp line (the only nondeterministic
-line in phase grids), one `# spec:` line, a header row, then data rows.
-A gnuplot companion script is written next to each CSV.
+One writer serves both CSVs: a `# generated:` timestamp line (the only
+nondeterministic line in phase grids), a `# spec:` line, a header row,
+then one row per cell, and a gnuplot script of the same name with suffix
+`.gp` next to the CSV.
+
+- phase grid: ``M,K,trials,successes,rate`` per (M, K) cell.  The
+  per-trial ``PhaseCell.outcomes`` and ``failure_reasons`` (trial index
+  with its stop reason or exception) stay in memory and are not written.
+- timing scan: ``N,M,trials,successes,excluded,median_total_seconds,
+  median_iter_seconds`` per N, with M = floor(0.8 N); the medians run
+  over the successful trials within ``time_cap`` and are blank when there
+  are none.  A `# loglog_slope:` line follows when at least two sizes
+  have a median per-iteration time.
 """
 
 from __future__ import annotations
@@ -46,10 +60,14 @@ SUCCESS_NMSE = 1e-6
 METHODS = ("mhtgd", "chtgd")
 
 
-def _check_method(method: str) -> str:
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    return method
+def _check_scan(spec, positive: tuple) -> None:
+    """The checks both specs share: ``method`` names a solver, the fields
+    ``positive`` are integers >= 1 and ``seed`` is an integer >= 0."""
+    if spec.method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {spec.method!r}")
+    for name in positive:
+        check_int(name, getattr(spec, name), 1)
+    check_int("seed", spec.seed, 0)
 
 
 def _check_min_sep(mult: float, K: int, N: int) -> None:
@@ -80,10 +98,7 @@ class PhaseGridSpec:
                                                    for m in self.m_values))
         object.__setattr__(self, "k_values", tuple(check_int("k_values", k, 1)
                                                    for k in self.k_values))
-        _check_method(self.method)
-        for name in ("N", "L", "trials"):
-            check_int(name, getattr(self, name), 1)
-        check_int("seed", self.seed, 0)
+        _check_scan(self, ("N", "L", "trials"))
         if not self.m_values or not self.k_values:
             raise ValueError("m_values and k_values must be nonempty")
         n = ProblemDims(N=self.N, L=self.L, K=1, M=1).n
@@ -114,12 +129,9 @@ class TimingSpec:
     def __post_init__(self):
         object.__setattr__(self, "n_values", tuple(check_int("n_values", N, 1)
                                                    for N in self.n_values))
-        _check_method(self.method)
+        _check_scan(self, ("L", "K", "trials"))
         if not self.n_values:
             raise ValueError("n_values must be nonempty")
-        for name in ("L", "K", "trials"):
-            check_int(name, getattr(self, name), 1)
-        check_int("seed", self.seed, 0)
         if not self.time_cap > 0:  # NaN too
             raise ValueError(f"time_cap must be positive, got {self.time_cap}")
         for N in self.n_values:
@@ -182,10 +194,6 @@ class TimingResult:
     csv_path: Optional[Path] = None
 
 
-def _trial_seed(master: int, M: int, K: int, trial: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence((int(master), int(M), int(K), int(trial)))
-
-
 def solver_for(method: str):
     """The solve function of ``method``, one of ``METHODS``.
 
@@ -195,21 +203,27 @@ def solver_for(method: str):
     return solve_mhtgd if method == "mhtgd" else solve_chtgd
 
 
-def _run_trial(method: str, dims: ProblemDims, min_sep: float, is_ca: bool,
-               seed: np.random.SeedSequence, config: SolverConfig):
-    """One draw-solve-score pass; returns (success, reason, report)."""
-    ss_model, ss_mask = seed.spawn(2)
-    try:
-        model = random_model(dims, min_sep=min_sep, is_ca=is_ca, seed=ss_model)
-        truth = synthesize(model, dims)
-        mask = sample_mask(dims, seed=ss_mask)
-        observed = apply_mask(truth, mask)
-        report = solver_for(method)(observed, mask, config, ground_truth=truth)
-    except Exception as exc:  # individual failures never abort a scan
-        return False, f"{type(exc).__name__}: {exc}", None
-    if report.nmse is not None and report.nmse <= SUCCESS_NMSE:
-        return True, None, report
-    return False, report.stop_reason, report
+def _trials(spec, dims: ProblemDims, is_ca: bool):
+    """Yield (success, reason, report) for each trial of the cell ``dims``,
+    in trial order (module docstring).  ``reason`` is None on a success and
+    the stop reason otherwise; a trial that raised has the exception as its
+    reason and no report."""
+    for trial in range(spec.trials):
+        seed = np.random.SeedSequence((int(spec.seed), dims.M, dims.K, trial))
+        config = SolverConfig(seed=int(seed.generate_state(1)[0]))
+        ss_model, ss_mask = seed.spawn(2)
+        try:
+            model = random_model(dims, min_sep=spec.min_sep_mult / dims.N, is_ca=is_ca,
+                                 seed=ss_model)
+            truth = synthesize(model, dims)
+            mask = sample_mask(dims, seed=ss_mask)
+            report = solver_for(spec.method)(apply_mask(truth, mask), mask, config,
+                                             ground_truth=truth)
+        except Exception as exc:  # individual failures never abort a scan
+            yield False, f"{type(exc).__name__}: {exc}", None
+            continue
+        ok = report.nmse is not None and report.nmse <= SUCCESS_NMSE
+        yield ok, None if ok else report.stop_reason, report
 
 
 def run_phase_grid(spec: PhaseGridSpec, csv_path=None) -> PhaseGridResult:
@@ -219,11 +233,7 @@ def run_phase_grid(spec: PhaseGridSpec, csv_path=None) -> PhaseGridResult:
         for K in spec.k_values:
             dims = ProblemDims(N=spec.N, L=spec.L, K=K, M=M)
             cell = PhaseCell(M=M, K=K, trials=spec.trials, successes=0)
-            for trial in range(spec.trials):
-                seed = _trial_seed(spec.seed, M, K, trial)
-                cfg = SolverConfig(seed=int(seed.generate_state(1)[0]))
-                ok, reason, _ = _run_trial(spec.method, dims, spec.min_sep,
-                                           spec.is_ca, seed, cfg)
+            for trial, (ok, reason, _) in enumerate(_trials(spec, dims, spec.is_ca)):
                 cell.outcomes.append(ok)
                 if ok:
                     cell.successes += 1
@@ -232,7 +242,8 @@ def run_phase_grid(spec: PhaseGridSpec, csv_path=None) -> PhaseGridResult:
             cells.append(cell)
     result = PhaseGridResult(spec=spec, cells=cells)
     if csv_path is not None:
-        result.csv_path = _write_phase_csv(result, Path(csv_path))
+        lines = [f"{c.M},{c.K},{c.trials},{c.successes},{c.rate:.6g}" for c in cells]
+        result.csv_path = _write_scan(spec, csv_path, _PHASE_HEADER, lines, _PHASE_PLOT)
     return result
 
 
@@ -243,112 +254,61 @@ def run_timing(spec: TimingSpec, csv_path=None) -> TimingResult:
     the medians but still counted in the ``excluded`` column.
     """
     rows = []
-    sizes = []
-    med_iters = []
     for N in spec.n_values:
-        M = spec.m_for(N)
-        dims = ProblemDims(N=N, L=spec.L, K=spec.K, M=M)
+        dims = ProblemDims(N=N, L=spec.L, K=spec.K, M=spec.m_for(N))
         totals, per_iter = [], []
-        successes = excluded = 0
-        for trial in range(spec.trials):
-            seed = _trial_seed(spec.seed, M, spec.K, trial)
-            cfg = SolverConfig(seed=int(seed.generate_state(1)[0]))
-            ok, _, report = _run_trial(spec.method, dims, spec.min_sep_mult / N,
-                                       spec.method == "chtgd", seed, cfg)
+        excluded = 0
+        for ok, _, report in _trials(spec, dims, spec.method == "chtgd"):
             if report is not None and report.total_seconds > spec.time_cap:
                 excluded += 1
-                continue
-            if ok and report.iter_seconds:
-                successes += 1
+            elif ok and report.iter_seconds:
                 totals.append(report.total_seconds)
                 per_iter.append(float(np.median(report.iter_seconds)))
-        row = TimingRow(
-            N=N, M=M, trials=spec.trials, successes=successes, excluded=excluded,
+        rows.append(TimingRow(
+            N=N, M=dims.M, trials=spec.trials, successes=len(totals), excluded=excluded,
             median_total_seconds=float(np.median(totals)) if totals else None,
             median_iter_seconds=float(np.median(per_iter)) if per_iter else None,
-        )
-        rows.append(row)
-        if row.median_iter_seconds is not None:
-            sizes.append(N)
-            med_iters.append(row.median_iter_seconds)
+        ))
+    fitted = [(r.N, r.median_iter_seconds) for r in rows if r.median_iter_seconds is not None]
     slope = None
-    if len(sizes) >= 2:
+    if len(fitted) >= 2:
+        sizes, med_iters = zip(*fitted)
         slope = float(np.polyfit(np.log(sizes), np.log(med_iters), 1)[0])
     result = TimingResult(spec=spec, rows=rows, slope=slope)
     if csv_path is not None:
-        result.csv_path = _write_timing_csv(result, Path(csv_path))
+        lines = []
+        for r in rows:
+            tot = "" if r.median_total_seconds is None else f"{r.median_total_seconds:.6g}"
+            per = "" if r.median_iter_seconds is None else f"{r.median_iter_seconds:.6g}"
+            lines.append(f"{r.N},{r.M},{r.trials},{r.successes},{r.excluded},{tot},{per}")
+        if slope is not None:
+            lines.append(f"# loglog_slope: {slope:.4f}")
+        result.csv_path = _write_scan(spec, csv_path, _TIMING_HEADER, lines, _TIMING_PLOT)
     return result
 
 
 # ---------- persistence ----------
 
+# the header row and the gnuplot lines after the datafile settings of each
+# scan; "{csv}" stands for the CSV's file name
+_PHASE_HEADER = "M,K,trials,successes,rate"
+_PHASE_PLOT = ("set title 'success rate: {csv}'", "set xlabel 'K'", "set ylabel 'M'",
+               "set cbrange [0:1]", "set view map",
+               "splot '{csv}' using 2:1:5 with points pt 5 ps 3 palette notitle")
+_TIMING_HEADER = "N,M,trials,successes,excluded,median_total_seconds,median_iter_seconds"
+_TIMING_PLOT = ("set title 'median per-iteration time: {csv}'", "set xlabel 'N'",
+                "set ylabel 'seconds per iteration'", "set logscale xy",
+                "plot '{csv}' using 1:7 with linespoints pt 7 notitle")
 
-def _spec_json(spec) -> str:
-    d = {k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(spec).items()}
-    return json.dumps(d, sort_keys=True)
 
-
-def _header_lines(spec) -> list:
-    return [
-        f"# generated: {time.strftime('%Y-%m-%dT%H:%M:%S%z')}",
-        f"# spec: {_spec_json(spec)}",
-    ]
-
-
-def _write_phase_csv(result: PhaseGridResult, path: Path) -> Path:
-    lines = _header_lines(result.spec)
-    lines.append("M,K,trials,successes,rate")
-    for c in result.cells:
-        lines.append(f"{c.M},{c.K},{c.trials},{c.successes},{c.rate:.6g}")
+def _write_scan(spec, csv_path, header: str, rows: list, plot: tuple) -> Path:
+    """Write the CSV of a scan (module docstring) and its gnuplot script."""
+    path = Path(csv_path)
+    fields = {k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(spec).items()}
+    lines = [f"# generated: {time.strftime('%Y-%m-%dT%H:%M:%S%z')}",
+             f"# spec: {json.dumps(fields, sort_keys=True)}", header, *rows]
     path.write_text("\n".join(lines) + "\n")
-    _write_phase_plot(path)
+    script = ["set datafile separator comma", "set datafile commentschars '#'", *plot]
+    path.with_suffix(".gp").write_text(
+        "\n".join(line.format(csv=path.name) for line in script) + "\n")
     return path
-
-
-def _write_timing_csv(result: TimingResult, path: Path) -> Path:
-    lines = _header_lines(result.spec)
-    lines.append("N,M,trials,successes,excluded,median_total_seconds,median_iter_seconds")
-    for r in result.rows:
-        tot = "" if r.median_total_seconds is None else f"{r.median_total_seconds:.6g}"
-        per = "" if r.median_iter_seconds is None else f"{r.median_iter_seconds:.6g}"
-        lines.append(f"{r.N},{r.M},{r.trials},{r.successes},{r.excluded},{tot},{per}")
-    if result.slope is not None:
-        lines.append(f"# loglog_slope: {result.slope:.4f}")
-    path.write_text("\n".join(lines) + "\n")
-    _write_timing_plot(path)
-    return path
-
-
-def _plot_path(csv_path: Path) -> Path:
-    return csv_path.with_suffix(".gp")
-
-
-def _write_phase_plot(csv_path: Path) -> Path:
-    gp = _plot_path(csv_path)
-    gp.write_text(
-        "\n".join([
-            "set datafile separator comma",
-            "set datafile commentschars '#'",
-            f"set title 'success rate: {csv_path.name}'",
-            "set xlabel 'K'",
-            "set ylabel 'M'",
-            "set cbrange [0:1]",
-            "set view map",
-            f"splot '{csv_path.name}' using 2:1:5 with points pt 5 ps 3 palette notitle",
-        ]) + "\n")
-    return gp
-
-
-def _write_timing_plot(csv_path: Path) -> Path:
-    gp = _plot_path(csv_path)
-    gp.write_text(
-        "\n".join([
-            "set datafile separator comma",
-            "set datafile commentschars '#'",
-            f"set title 'median per-iteration time: {csv_path.name}'",
-            "set xlabel 'N'",
-            "set ylabel 'seconds per iteration'",
-            "set logscale xy",
-            f"plot '{csv_path.name}' using 1:7 with linespoints pt 7 notitle",
-        ]) + "\n")
-    return gp

@@ -19,7 +19,8 @@ import numpy as np
 from . import operators as ops
 from .mhtgd import FactorSetM, grad_f, objective_f
 from .chtgd import FactorSetC, grad_g, objective_g
-from .signals import ProblemDims, SamplingMask, make_rng, random_model, sample_mask
+from .signals import (ProblemDims, SamplingMask, make_rng, random_model, sample_mask,
+                      steering)
 from .witness import factor_witness_ca, factor_witness_general
 
 __all__ = ["CheckResult", "run_selftest"]
@@ -132,8 +133,7 @@ def _check_witnesses(rng) -> CheckResult:
     for seed, is_ca in ((3, False), (4, True)):
         dims = ProblemDims(N=21, L=3, K=3, M=21)
         model = random_model(dims, min_sep=0.05, is_ca=is_ca, seed=seed)
-        steer = np.exp(-2j * np.pi * np.outer(np.arange(dims.full_N), model.freqs))
-        x_full = steer @ model.coefficients()
+        x_full = steering(model.freqs, dims.full_N) @ model.coefficients()
         w = ops.weight_vector(dims.full_N).omega
         y = w[:, None] * x_full
         mask = SamplingMask(indices=np.arange(1, dims.N + 1), N=dims.N)

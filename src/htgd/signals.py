@@ -170,15 +170,18 @@ class SamplingMask:
         return out
 
 
+def steering(freqs: np.ndarray, rows: int) -> np.ndarray:
+    """The (rows, K) steering matrix exp(-2 pi i j f_k), j = 0..rows - 1."""
+    return np.exp(-2j * np.pi * np.outer(np.arange(rows), freqs))
+
+
 def synthesize(model: SpectralModel, dims: ProblemDims) -> MultichannelSignal:
     """Evaluate the model on sample indices 1..N for every channel."""
     if model.L != dims.L:
         raise ValueError(f"model has L={model.L} channels, dims expects {dims.L}")
     if model.K != dims.K:
         raise ValueError(f"model has K={model.K} sinusoids, dims expects {dims.K}")
-    j = np.arange(dims.N)
-    steering = np.exp(-2j * np.pi * np.outer(j, model.freqs))
-    data = steering @ model.coefficients()
+    data = steering(model.freqs, dims.N) @ model.coefficients()
     return MultichannelSignal(data=data, dims=dims)
 
 

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .signals import ProblemDims, SpectralModel
-
-
-def _steering(freqs: np.ndarray, n: int) -> np.ndarray:
-    return np.exp(-2j * np.pi * np.outer(np.arange(n), freqs))
+from .chtgd import FactorSetC
+from .mhtgd import FactorSetM
+from .signals import ProblemDims, SpectralModel, steering
 
 
 def factor_witness_general(model: SpectralModel, dims: ProblemDims):
@@ -27,10 +25,8 @@ def factor_witness_general(model: SpectralModel, dims: ProblemDims):
         z1 = conj(A) diag(|S[:, l]| / sqrt(p)),
         z2 = A diag(sqrt(p) * phi[:, l]).
     """
-    from .mhtgd import FactorSetM
-
     n = dims.n
-    A = _steering(model.freqs, n)
+    A = steering(model.freqs, n)
     S = model.coefficients()
     row_power = np.linalg.norm(S, axis=1) / np.sqrt(dims.L)
     phases = S / np.abs(S)
@@ -47,12 +43,10 @@ def factor_witness_ca(model: SpectralModel, dims: ProblemDims):
 
     Valid for constant-amplitude models: z_l = A diag(sqrt(b) * exp(i phi[:, l] / 2)).
     """
-    from .chtgd import FactorSetC
-
     if not model.is_ca:
         raise ValueError("witness requires a constant-amplitude model")
     n = dims.n
-    A = _steering(model.freqs, n)
+    A = steering(model.freqs, n)
     b = model.amps[:, 0]
     z = np.empty((dims.L, n, dims.K), dtype=complex)
     for l in range(dims.L):

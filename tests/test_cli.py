@@ -289,6 +289,33 @@ def test_experiment_timing_single_size(tmp_path, capsys):
     assert "slope" not in capsys.readouterr().out  # single size: no fit
 
 
+def test_experiment_out_creates_missing_directories(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"N": 33, "L": 2, "m_values": [33], "k_values": [1],
+                                "trials": 1, "seed": 9}))
+    csv = tmp_path / "new" / "p.csv"
+    assert run_cli("experiment", "phase", "--spec", spec, "--out", csv) == EXIT_OK
+    assert csv.exists() and csv.with_suffix(".gp").exists()
+    assert str(csv) in capsys.readouterr().out
+
+
+def test_experiment_unwritable_out_fails_before_any_trial(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def solve(*args, **kwargs):
+        calls.append(args)
+        raise RuntimeError("no trial should run")
+
+    monkeypatch.setattr("htgd.experiments.solve_mhtgd", solve)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n_values": [63], "L": 2, "K": 2, "trials": 1}))
+    (tmp_path / "file").write_text("")  # a file where the CSV's directory would go
+    code = run_cli("experiment", "timing", "--spec", spec, "--out", tmp_path / "file" / "t.csv")
+    assert code == EXIT_IO
+    assert calls == []
+    assert "file" in capsys.readouterr().err
+
+
 def test_experiment_malformed_spec_reports_line(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text("{\n  broken\n}")
@@ -308,8 +335,9 @@ def test_experiment_unknown_spec_field(tmp_path, capsys):
 def test_experiment_invalid_spec_values(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"N": 33, "m_values": [99], "k_values": [1]}))
-    code = run_cli("experiment", "phase", "--spec", spec, "--out", tmp_path / "x.csv")
+    code = run_cli("experiment", "phase", "--spec", spec, "--out", tmp_path / "new" / "x.csv")
     assert code == EXIT_USAGE
+    assert not (tmp_path / "new").exists()  # a spec that fails to load creates nothing
 
 
 @pytest.mark.parametrize("kind,spec", [

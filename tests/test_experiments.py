@@ -95,6 +95,27 @@ def test_phase_grid_hard_cell_records_failures():
         assert isinstance(reason, str) and reason
 
 
+def test_a_raising_trial_fails_alone(monkeypatch):
+    # the scans call the solver through the module global, so a double here is seen
+    from htgd import experiments
+
+    real, calls = experiments.solve_mhtgd, []
+
+    def flaky(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise RuntimeError("boom")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "solve_mhtgd", flaky)
+    cell = run_phase_grid(small_phase_spec()).cells[0]
+    assert cell.outcomes == [True, False, True]
+    assert cell.failure_reasons == [(1, "RuntimeError: boom")]
+    calls.clear()
+    row = run_timing(TimingSpec(n_values=(63,), L=2, K=2, trials=3, seed=3)).rows[0]
+    assert (row.successes, row.excluded) == (2, 0)  # neither a success nor excluded
+
+
 def test_phase_grid_rate_lookup():
     res = run_phase_grid(small_phase_spec())
     assert res.rate(33, 1) == 1.0
@@ -137,3 +158,79 @@ def test_timing_cap_excludes_everything(tmp_path):
 def test_timing_chtgd_runs():
     res = run_timing(TimingSpec(n_values=(63,), L=2, K=2, trials=1, method="chtgd", seed=4))
     assert res.rows[0].successes == 1
+
+
+# ---------- golden outputs: the CSV and gnuplot bytes of both scans ----------
+
+PHASE_CSV_AFTER_TIMESTAMP = """\
+# spec: {"L": 2, "N": 33, "is_ca": false, "k_values": [1, 4], "m_values": [33, 3], \
+"method": "mhtgd", "min_sep_mult": 1.5, "seed": 9, "trials": 3}
+M,K,trials,successes,rate
+33,1,3,3,1
+33,4,3,3,1
+3,1,3,1,0.333333
+3,4,3,0,0
+"""
+
+PHASE_GP = """\
+set datafile separator comma
+set datafile commentschars '#'
+set title 'success rate: grid.csv'
+set xlabel 'K'
+set ylabel 'M'
+set cbrange [0:1]
+set view map
+splot 'grid.csv' using 2:1:5 with points pt 5 ps 3 palette notitle
+"""
+
+TIMING_GP = """\
+set datafile separator comma
+set datafile commentschars '#'
+set title 'median per-iteration time: scan.csv'
+set xlabel 'N'
+set ylabel 'seconds per iteration'
+set logscale xy
+plot 'scan.csv' using 1:7 with linespoints pt 7 notitle
+"""
+
+TIMING_HEADER = "N,M,trials,successes,excluded,median_total_seconds,median_iter_seconds"
+
+
+def test_phase_outputs_are_golden(tmp_path):
+    res = run_phase_grid(small_phase_spec(m_values=(33, 3), k_values=(1, 4)),
+                         csv_path=tmp_path / "grid.csv")
+    assert res.csv_path == tmp_path / "grid.csv"
+    first, rest = (tmp_path / "grid.csv").read_text().split("\n", 1)
+    assert first.startswith("# generated: ")
+    assert rest == PHASE_CSV_AFTER_TIMESTAMP
+    assert (tmp_path / "grid.gp").read_text() == PHASE_GP
+
+
+@pytest.mark.parametrize("n_values,time_cap", [((63, 127), 100.0), ((63, 127), 1e-9),
+                                               ((63,), 100.0)])
+def test_timing_outputs_are_golden(tmp_path, n_values, time_cap):
+    spec = TimingSpec(n_values=n_values, L=2, K=2, trials=2, time_cap=time_cap, seed=3)
+    res = run_timing(spec, csv_path=tmp_path / "scan.csv")
+    assert res.csv_path == tmp_path / "scan.csv"
+    lines = (tmp_path / "scan.csv").read_text().split("\n")
+    assert lines[0].startswith("# generated: ") and lines[-1] == ""
+    assert lines[1] == ("# spec: {\"K\": 2, \"L\": 2, \"method\": \"mhtgd\", \"min_sep_mult\": 1.5, "
+                        f"\"n_values\": {list(n_values)}, \"seed\": 3, \"time_cap\": {time_cap!r}, "
+                        "\"trials\": 2}")
+    assert lines[2] == TIMING_HEADER
+    rows = lines[3:3 + len(n_values)]
+    for row, N, M in zip(rows, n_values, (50, 101)):
+        if time_cap < 1:  # every run excluded: both median cells blank
+            assert row == f"{N},{M},2,0,2,,"
+        else:
+            head, total, per_iter = row.rsplit(",", 2)
+            assert head == f"{N},{M},2,2,0"
+            assert float(total) > float(per_iter) > 0
+            assert f"{float(total):.6g}" == total and f"{float(per_iter):.6g}" == per_iter
+    footer = lines[3 + len(n_values):-1]
+    if res.slope is None:  # fewer than two sizes with a median
+        assert footer == [] and (time_cap < 1 or len(n_values) == 1)
+    else:
+        assert len(n_values) == 2 and time_cap > 1
+        assert footer == [f"# loglog_slope: {res.slope:.4f}"]
+    assert (tmp_path / "scan.gp").read_text() == TIMING_GP
