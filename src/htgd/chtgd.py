@@ -36,7 +36,12 @@ signal's order those eigenvalues go to zero, and at 1e-8 the amplified
 steps stalled into false convergence (NMSE 1e-5 to 3e-3) on 22 of 48 such
 solves at N = 33 and 65, against none at 1e-3.
 
-State layout: a Trial's z, one complex array of shape (L, n, K).
+State layout: a Trial's z, one complex array of shape (L, K, n), K-major:
+channel l holds Z^{l,T}, so each factor column is a contiguous row.  The
+row FFTs run along the contiguous last axis, the K-sums of the kernels are
+reductions over axis -2, and the channels l >= 2 read as ((L - 1) K, n)
+are a view.  ``FactorSetC.stacked`` and ``from_stacked`` convert at the
+solver boundary; the public (L, n, K) factors keep their layout.
 """
 
 from __future__ import annotations
@@ -82,12 +87,20 @@ class FactorSetC:
         if z.ndim != 3:
             raise ValueError(f"factors must have shape (L, n, K), got {z.shape}")
 
+    def stacked(self) -> np.ndarray:
+        """The solver's state: the K-major factors z_l^T, (L, K, n)."""
+        return np.ascontiguousarray(self.z.swapaxes(-2, -1))
+
+    @staticmethod
+    def from_stacked(state: np.ndarray) -> "FactorSetC":
+        return FactorSetC(z=state.swapaxes(-2, -1))
+
 
 DAMPING = 1e-3  # of the Gram scaling, relative to the mean eigenvalue tr/K
 
 
 def _transforms(z):
-    """The row transforms of every channel's factor, (L, P, K)."""
+    """The row transforms of every channel's factor, (L, K, P)."""
     return ops.row_transforms(z)
 
 
@@ -98,17 +111,21 @@ def _kernel_args(FZ):
 
 
 def _point_algebra(t: Trial, obs: Observed):
-    """(resid, gram) at the Trial ``t``: the masked residual
-    where(mask, h - yT, 0) and the Grams z_l^H z_l, which the objective and
-    the gradient both read."""
-    return np.where(obs.maskb, t.h - obs.yT, 0.0), t.z.swapaxes(-2, -1).conj() @ t.z
+    """(resid, gram, anchor) at the Trial ``t``: the masked residual
+    where(mask, h - yT, 0), the Grams z_l^H z_l, and the anchor products
+    z_1^H z_l of the channels l >= 2 side by side, (K, (L - 1) K), which
+    the objective and the gradient both read."""
+    z = t.z
+    return (np.where(obs.maskb, t.h - obs.yT, 0.0), z.conj() @ z.swapaxes(-2, -1),
+            z[0].conj() @ z[1:].reshape(-1, z.shape[-1]).T)
 
 
 def _objective_stacked(t: Trial, obs: Observed):
     """The objective at the Trial ``t``; its point algebra goes to ``t.carry``,
     where the gradient finds it if ``t`` is the accepted trial."""
-    z, h, hw = t.z, t.h, t.hw
-    t.carry["algebra"] = resid, gram = _point_algebra(t, obs)
+    h, hw = t.h, t.hw
+    L, K, _ = t.z.shape
+    t.carry["algebra"] = resid, gram, anchor = _point_algebra(t, obs)
     t1 = (np.abs(resid) ** 2).sum() / (4.0 * obs.p)
     lr_h = (gram * gram).real.sum(axis=(-2, -1))
     t2 = 0.25 * np.maximum(lr_h - (np.abs(h) ** 2).sum(axis=-1), 0.0).sum()
@@ -116,8 +133,7 @@ def _objective_stacked(t: Trial, obs: Observed):
     t3 = 0.25 * max(lr_w - float((np.abs(hw) ** 2).sum()), 0.0)
     # the coupling penalty; with L = 1 its channel slices are empty and it is 0
     norms = (np.abs(gram) ** 2).sum(axis=(1, 2))
-    cross = z[0].conj().T @ z[1:]
-    cross_norms = (np.abs(cross) ** 2).sum(axis=(1, 2))
+    cross_norms = (np.abs(anchor) ** 2).reshape(K, L - 1, K).sum(axis=(0, 2))
     t4 = 0.25 * np.maximum(norms[0] + norms[1:] - 2.0 * cross_norms, 0.0).sum()
     return float(t1 + t2 + t3 + t4)
 
@@ -126,44 +142,45 @@ def _gradient(t: Trial, FZ, obs: Observed):
     """(G, D, None): the gradient at the Trial ``t``, from its transforms
     ``FZ``, its lifts and the point algebra its objective carried (made here
     when it carries none), the Gram-scaled direction D_l = G_l P_l^{-1}
-    (module docstring), and no first trial of its own."""
+    (module docstring), and no first trial of its own.  G and D are K-major
+    like the state: each term below is the transpose of its column form,
+    (z S)^T = S^T z^T."""
     z, h, hw = t.z, t.h, t.hw
-    L, n, K = z.shape
-    resid, gram = t.carry.pop("algebra", None) or _point_algebra(t, obs)  # gram: z_l^H z_l
+    L, K, n = z.shape
+    resid, gram, anchor = t.carry.pop("algebra", None) or _point_algebra(t, obs)
     v = resid / obs.p - h
-    # G(v_l) conj(z_l) from the transforms of z_l, and W(hw) z_1
+    # (G(v_l) conj(z_l))^T from the transforms of z_l, and (W(hw) z_1)^T
     gv_zc, ww_z1 = ops.lift_products_from_transforms(v, (FZ,), hw, FZ[:1])
     grad = np.empty_like(z)
-    grad[0] = gv_zc[0] - ww_z1[0] + z[0] @ (gram[0].conj() + L * gram[0])
-    # the coupling terms; with L = 1 the non-anchor slices are empty and add nothing
-    Zr = z[1:].transpose(1, 0, 2).reshape(n, (L - 1) * K)
-    # sum_q z^q (z^{q,H} z^1) over the non-anchor channels
-    grad[0] -= Zr @ (Zr.conj().T @ z[0])
-    anchor = z[0].conj().T @ z[1:]  # z^{1,H} z^l
+    np.subtract(gv_zc[0], ww_z1[0], out=grad[0])
+    grad[0] += (gram[0].conj() + L * gram[0]).T @ z[0]
+    # the coupling terms; with L = 1 the non-anchor slices are empty and add nothing.
+    # sum_q z^q (z^{q,H} z^1) over the non-anchor channels: anchor = [z^{1,H} z^q]_q
+    grad[0] -= anchor.conj() @ z[1:].reshape(-1, n)
     grad[1:] = (gv_zc[1:]
-                + z[1:] @ (gram[1:].conj() + gram[1:])
-                - z[0] @ anchor)
+                + (gram[1:].conj() + gram[1:]).swapaxes(-2, -1) @ z[1:]
+                - anchor.reshape(K, L - 1, K).transpose(1, 2, 0) @ z[0])
     grad *= 0.5
     # P_l = conj(z_l^H z_l) + DAMPING tr/K I; a zero factor has a zero Gram and takes P_l = I
     reg = DAMPING / K * gram.trace(axis1=-2, axis2=-1).real
     reg[reg <= 0.0] = 1.0
     P = gram.conj() + reg[:, None, None] * np.eye(K)
-    return grad, grad @ np.linalg.inv(P), None
+    return grad, np.linalg.inv(P).swapaxes(-2, -1) @ grad, None
 
 
 def objective_g(factors: FactorSetC, y: np.ndarray, mask: SamplingMask,
                 dims: ProblemDims) -> float:
     """Objective value; ``y`` is the weighted signal, (full_N, L)."""
     obs = prepare_observed(y, mask, dims)
-    return _objective_stacked(start_point(factors.z, obs, _transforms, _kernel_args), obs)
+    return _objective_stacked(start_point(factors.stacked(), obs, _transforms, _kernel_args), obs)
 
 
 def grad_g(factors: FactorSetC, y: np.ndarray, mask: SamplingMask,
            dims: ProblemDims) -> FactorSetC:
     """Conjugate Wirtinger gradient of :func:`objective_g` at ``factors``."""
     obs = prepare_observed(y, mask, dims)
-    t = start_point(factors.z, obs, _transforms, _kernel_args)
-    return FactorSetC(z=_gradient(t, t.F, obs)[0])
+    t = start_point(factors.stacked(), obs, _transforms, _kernel_args)
+    return FactorSetC.from_stacked(_gradient(t, t.F, obs)[0])
 
 
 def spectral_init_ca(y: np.ndarray, mask: SamplingMask, dims: ProblemDims,
@@ -190,8 +207,11 @@ def solve_chtgd(observations: MultichannelSignal, mask: SamplingMask,
     """
     cfg = config if config is not None else SolverConfig()
     obs = weigh_observations(observations, mask)
-    init = spectral_init_ca(obs.yT.T, mask, observations.dims, seed=cfg.seed)
-    out = run_descent(start_point(init.z, obs, _transforms, _kernel_args),
+    # run_descent's Trial alone holds the start state, so neither the init's
+    # factors nor their K-major copy outlive the first step
+    out = run_descent(start_point(spectral_init_ca(obs.yT.T, mask, observations.dims,
+                                                   seed=cfg.seed).stacked(),
+                                  obs, _transforms, _kernel_args),
                       lambda state: _objective_stacked(state, obs),
                       lambda state: gradient_line(state, obs, _transforms, _kernel_args,
                                                   _gradient),

@@ -70,6 +70,7 @@ evaluation made, so that call makes none of them again.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
@@ -330,12 +331,20 @@ def armijo_step(state, line: Line, f_curr: float,
     return ArmijoResult(False, eta, state, f_curr, rose and not fell)
 
 
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm`` of the complex array ``x``, bit for bit, by ndarray
+    methods: sqrt(re . re + im . im) of the flattened array."""
+    x = x.ravel(order="K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def _rel_change(x_new: np.ndarray, x_old: np.ndarray) -> float:
-    denom = np.linalg.norm(x_old)
-    diff = np.linalg.norm(x_new - x_old)
+    denom = _norm(x_old)
+    diff = _norm(x_new - x_old)
     if denom == 0.0:
         return 0.0 if diff == 0.0 else np.inf
-    return float(diff / denom)
+    return diff / denom
 
 
 def run_descent(state: Trial,
@@ -368,7 +377,7 @@ def run_descent(state: Trial,
     iters = 0
     for _ in range(cfg.max_iter):
         t0 = time.perf_counter()
-        if not np.all(np.isfinite(line.direction)):
+        if not np.isfinite(line.direction).all():
             stop_reason = STOP_NUMERICAL
             break
         res = armijo_step(state, line, f_curr, objective, eta_prev, d_prev)

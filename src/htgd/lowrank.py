@@ -65,8 +65,9 @@ def randomized_lift_svd(v: np.ndarray, K: int, seed) -> tuple:
     ``v`` is (..., L, N), or one vector (N,) taken as (1, N); ``seed`` an
     int or a tuple of ints.  Returns U (..., n, K), s (..., K) and the
     right factor stacked like E's columns, V (..., nL, K).  Every product
-    runs through ``ops.fast_lift_mul``, using that each block M_l is
-    complex symmetric: E^H X = [conj(M_l conj(X))]_l.  Raises
+    runs through ``ops.fast_lift_mul``, using that each block M_l = G v_l is
+    complex symmetric: E^H X = [G(conj v_l) X]_l, since M_l^H = conj(M_l) =
+    G(conj v_l), and Q^H E = (E^T conj(Q))^T = [M_l conj(Q)]_l^T.  Raises
     ``ValueError`` unless N is odd and 1 <= K <= n.
     """
     v = np.atleast_2d(v)
@@ -79,8 +80,10 @@ def randomized_lift_svd(v: np.ndarray, K: int, seed) -> tuple:
     def blocks(X):  # [M_l X_l]_l for X (..., L, n, c), or [M_l X]_l for X (..., 1, n, c)
         return ops.fast_lift_mul("hankel", v, X)
 
-    def adjoint(Q):  # E^H Q, stacked (..., nL, c)
-        return np.conj(blocks(Q.conj()[..., None, :, :])).reshape(batch + (L * n, -1))
+    vc = v.conj()
+
+    def adjoint(Q):  # E^H Q = [G(conj v_l) Q]_l, stacked (..., nL, c)
+        return ops.fast_lift_mul("hankel", vc, Q[..., None, :, :]).reshape(batch + (L * n, -1))
 
     words = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
     probe = np.empty(batch + (L, n, r), dtype=complex)

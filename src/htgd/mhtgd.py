@@ -37,8 +37,13 @@ here: the cross scaling took about 40% more iterations, and one shared
 scaling of both blocks saved 1-10% of them for about 9% more time per
 iteration.
 
-State layout: a Trial's z, one complex array of shape (L, 2n, K),
-channel l holding Z1^l in rows 0..n-1 and Z2^l in rows n..2n-1.
+State layout: a Trial's z, one complex array of shape (2, L, K, n), K-major:
+block 0 holds Z1^{l,T} and block 1 Z2^{l,T} for each channel l, so each
+factor column is a contiguous row.  The row FFTs then run along the
+contiguous last axis, the K-sums of the kernels are reductions over axis
+-2, and each block read as (L K, n) is a view, so the Grams are products
+of views.  ``FactorSetM.stacked`` and ``from_stacked`` convert at the
+solver boundary; the public (L, n, K) factors keep their layout.
 """
 
 from __future__ import annotations
@@ -85,69 +90,72 @@ class FactorSetM:
             raise ValueError(f"factor shapes {z1.shape} and {z2.shape} must match (L, n, K)")
 
     def stacked(self) -> np.ndarray:
-        return np.concatenate([self.z1, self.z2], axis=1)
+        """The solver's state: the K-major blocks z1^T and z2^T, (2, L, K, n)."""
+        return np.ascontiguousarray(np.stack([self.z1, self.z2]).swapaxes(-2, -1))
 
     @staticmethod
     def from_stacked(state: np.ndarray) -> "FactorSetM":
-        n = state.shape[1] // 2
-        return FactorSetM(z1=state[:, :n, :], z2=state[:, n:, :])
+        return FactorSetM(z1=state[0].swapaxes(-2, -1), z2=state[1].swapaxes(-2, -1))
 
 
 def _transforms(state):
-    """[conj z1, z2, z1] transformed along the rows, (3L, P, K), in one batched FFT.
+    """[z1, z2, conj z1] transformed along the rows, (3, L, K, P): one batched
+    FFT of the 2L blocks of the state, and the conj z1 block derived from
+    the z1 block by frequency reversal (``operators.conj_transforms``).
 
     Real-linear in the state, so the transforms of state - eta * G are
     those of the state minus eta times those of G.
     """
-    n = state.shape[1] // 2
-    z1 = state[:, :n, :]
-    return ops.row_transforms(np.concatenate([z1.conj(), state[:, n:, :], z1], axis=0))
+    F = np.empty((3,) + state.shape[1:-1] + (ops.fft_length(state.shape[-1]),), dtype=complex)
+    ops.row_transforms(state, out=F[:2])
+    ops.conj_transforms(F[0], out=F[2])
+    return F
 
 
 def _kernel_args(F):
     """(F2, F1c, F1): the (A, conj B, C) arguments of the operators kernels."""
-    L = F.shape[0] // 3
-    return F[L:2 * L], F[:L], F[2 * L:]
+    return F[1], F[2], F[0]
 
 
 def _grams(z1, z2):
-    """The coupling term's Gram blocks of the (L, n, K) factors.
+    """The coupling term's Gram blocks of the K-major (L, K, n) blocks.
 
-    Z1f, Z2f: the factors side by side, (n, L K); G1full = Z1f^H Z1f,
-    g11 its (L, K, K) diagonal blocks z1^{l,H} z1^l, g22 = z2^{l,H} z2^l.
+    X1, X2: each block's rows stacked, (L K, n), a view of a contiguous
+    state; X1 = Z1f^T for the factors side by side, Z1f (n, L K).  X1c is
+    conj(X1), G1full = Z1f^H Z1f = X1c X1^T, g11 its (L, K, K) diagonal
+    blocks z1^{l,H} z1^l, and g22 = z2^{l,H} z2^l.
     """
-    L, n, K = z1.shape
-    Z1f = z1.transpose(1, 0, 2).reshape(n, L * K)
-    Z2f = z2.transpose(1, 0, 2).reshape(n, L * K)
-    G1full = Z1f.conj().T @ Z1f
+    L, K, n = z1.shape
+    X1 = z1.reshape(L * K, n)
+    X2 = z2.reshape(L * K, n)
+    X1c = X1.conj()
+    G1full = X1c @ X1.T
     diag = np.arange(L)
     g11 = G1full.reshape(L, K, L, K)[diag, :, diag, :]
-    g22 = z2.swapaxes(-2, -1).conj() @ z2
-    return Z1f, Z2f, G1full, g11, g22
+    g22 = z2.conj() @ z2.swapaxes(-2, -1)
+    return X1, X2, X1c, G1full, g11, g22
 
 
 def _point_algebra(t: Trial, obs: Observed):
     """(resid, grams) at the Trial ``t``: the masked residual
     where(mask, h - yT, 0) and the :func:`_grams` of its factors, which the
     objective and the gradient both read."""
-    n = t.z.shape[1] // 2
-    return (np.where(obs.maskb, t.h - obs.yT, 0.0),
-            _grams(t.z[:, :n, :], t.z[:, n:, :]))
+    return np.where(obs.maskb, t.h - obs.yT, 0.0), _grams(t.z[0], t.z[1])
 
 
 def _objective_stacked(t: Trial, obs: Observed):
     """The objective at the Trial ``t``; its point algebra goes to ``t.carry``,
     where the gradient finds it if ``t`` is the accepted trial."""
     h, hw = t.h, t.hw
-    L, _, K = t.z.shape
-    t.carry["algebra"] = resid, (Z1f, Z2f, G1full, g11, g22) = _point_algebra(t, obs)
+    _, L, K, _ = t.z.shape
+    t.carry["algebra"] = resid, (X1, X2, _, G1full, g11, g22) = _point_algebra(t, obs)
     t1 = (np.abs(resid) ** 2).sum() / (2.0 * obs.p)
     lr_h = (g22 * g11.swapaxes(-2, -1)).sum(axis=(-2, -1)).real
     t2 = 0.5 * np.maximum(lr_h - (np.abs(h) ** 2).sum(axis=-1), 0.0).sum()
     lr_w = (np.abs(g11) ** 2).sum(axis=(-2, -1))
     t3 = 0.25 * np.maximum(lr_w - (np.abs(hw) ** 2).sum(axis=-1), 0.0).sum()
     c2 = (np.abs(G1full) ** 2).sum()
-    M12 = Z1f.T @ Z2f
+    M12 = X1 @ X2.T  # Z1f^T Z2f
     cross = (np.abs(M12) ** 2).sum(axis=0).reshape(L, K).sum(axis=-1)
     b2 = (np.abs(g22) ** 2).sum(axis=(1, 2))
     t4 = 0.25 * np.maximum(c2 - 2.0 * L * cross + L * L * b2, 0.0).sum()
@@ -158,23 +166,28 @@ def _gradient(t: Trial, F, obs: Observed):
     """(G, G, None): the gradient at the Trial ``t``, from its transforms
     ``F``, its lifts and the point algebra its objective carried (made here
     when it carries none), the direction, G itself, and no first trial of
-    its own."""
+    its own.  G is K-major like the state: each term below is the transpose
+    of its column form, (z S)^T = S^T z^T, so no factor is transposed."""
     state, h, hw = t.z, t.h, t.hw
-    L, two_n, K = state.shape
-    n = two_n // 2
-    z1 = state[:, :n, :]
-    z2 = state[:, n:, :]
+    _, L, K, n = state.shape
+    z1, z2 = state
     F2, F1c, F1 = _kernel_args(F)
-    resid, (Z1f, Z2f, G1full, g11, g22) = t.carry.pop("algebra", None) or _point_algebra(t, obs)
+    resid, (X1, X2, X1c, G1full, g11, g22) = t.carry.pop("algebra", None) or _point_algebra(t, obs)
     v = resid / obs.p - h
+    # ((G v) z1)^T, ((G v) conj z2)^T and ((W hw) z1)^T, each (L, K, n)
     gv_z1, gv_z2c, ww_z1 = ops.lift_products_from_transforms(v, (F1c, F2), hw, F1)
-    sum1 = (Z1f @ G1full).reshape(n, L, K).transpose(1, 0, 2)
-    T12 = Z2f.T @ Z1f
-    sum2 = (Z2f.conj() @ T12).reshape(n, L, K).transpose(1, 0, 2)
-    sum3 = (Z1f.conj() @ T12.T).reshape(n, L, K).transpose(1, 0, 2)
-    gz1 = 0.5 * (np.conj(gv_z2c) - ww_z1 + z1 @ (g11 + g22) + L * (sum1 - sum2))
-    gz2 = 0.5 * (gv_z1 + z2 @ (g11 + L * L * g22) - L * sum3)
-    grad = np.concatenate([gz1, gz2], axis=1)
+    T12 = X2 @ X1.T  # Z2f^T Z1f
+    grad = np.empty_like(state)
+    gz1, gz2 = grad
+    # conj((G v) conj z2) - L conj(Z2f) T12, with one conjugation of the difference
+    np.conjugate(gv_z2c - L * (T12.T.conj() @ X2).reshape(L, K, n), out=gz1)
+    gz1 -= ww_z1
+    gz1 += (g11 + g22).swapaxes(-2, -1) @ z1
+    gz1 += L * (G1full.T @ X1).reshape(L, K, n)  # L Z1f G1full
+    gz1 *= 0.5
+    np.add(gv_z1, (g11 + L * L * g22).swapaxes(-2, -1) @ z2, out=gz2)
+    gz2 -= L * (T12 @ X1c).reshape(L, K, n)  # L conj(Z1f) T12^T
+    gz2 *= 0.5
     return grad, grad, None
 
 
@@ -346,11 +359,14 @@ def solve_mhtgd(observations: MultichannelSignal, mask: SamplingMask,
     """
     cfg = config if config is not None else SolverConfig()
     obs = weigh_observations(observations, mask)
-    init = spectral_init(obs.yT.T, mask, observations.dims, seed=cfg.seed)
-    direction = LbfgsDirection(2 * init.z1.size)
-    out = run_descent(start_point(init.stacked(), obs, _transforms, _kernel_args),
+    dims = observations.dims
+    direction = LbfgsDirection(2 * dims.L * dims.n * dims.K)
+    # run_descent's Trial alone holds the start state, so neither the init's
+    # factors nor their K-major copy outlive the first step
+    out = run_descent(start_point(spectral_init(obs.yT.T, mask, dims, seed=cfg.seed).stacked(),
+                                  obs, _transforms, _kernel_args),
                       lambda state: _objective_stacked(state, obs),
                       lambda state: gradient_line(state, obs, _transforms, _kernel_args,
                                                   direction),
                       cfg)
-    return solver_report(out, obs.e, observations.dims, ground_truth)
+    return solver_report(out, obs.e, dims, ground_truth)

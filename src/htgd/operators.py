@@ -20,13 +20,21 @@ Products (G v) Z, (W v) Z and adjoints G*(A B^H), W*(A B^H) run as
 cyclic convolutions of length ``fft_length(n)`` (the smallest 11-smooth
 length >= 2n - 1, the shortest that is alias-free and fast) in
 O(K N log N) time, never materialising an n x n matrix.
-Every FFT of the package is made by the kernels here: ``row_transforms``
-(factor transforms), ``lift_products_from_transforms`` and
+
+The kernels read factors K-major: an n x K factor Z is held as Z^T,
+(..., K, n), so each of its K columns is a contiguous row.  Every FFT then
+runs along the contiguous last axis, giving (..., K, P) transforms, and
+every sum over the K columns is one reduction over axis -2.  Every FFT of
+the package is made by the kernels here: ``row_transforms`` (factor
+transforms; ``conj_transforms`` derives those of conj(Z) from them by
+frequency reversal, with no FFT), ``lift_products_from_transforms`` and
 ``adjoints_from_transforms`` (products and adjoints from transforms the
 caller already holds, as both solvers run them) and ``line_adjoints``
 (the adjoints along a descent line A - eta A' as quadratics in eta, so a
 line search needs no FFT).  ``fast_lift_mul`` and ``fast_adjoint_lowrank``
-are compositions of ``row_transforms`` with the same kernel code.  The
+take and return the (..., n, K) layout and compose ``row_transforms``
+with the same kernel code; ``fast_lift_mul`` takes a Hankel product as a
+convolution with the row-flipped factor, so it conjugates nothing.  The
 dense lifts are the reference implementations used by tests and the
 self-test command.  ``top_exponent`` and ``ldexp`` scale by powers of two.
 """
@@ -183,8 +191,12 @@ def w_adjoint(M: np.ndarray) -> np.ndarray:
 # ---------- FFT fast paths ----------
 #
 # The ``fast_*`` routines accept leading batch axes (v is (..., N), factor
-# matrices are (..., n, K), batch shapes broadcast exactly); the
-# transform-level kernels take one batch axis B.
+# matrices are (..., n, K), batch shapes broadcast exactly).  The
+# transform-level kernels read factors K-major: a factor Z (n x K) is held
+# as Z^T, (..., K, n), so its K columns are rows of contiguous memory, every
+# FFT runs along the last axis and every sum over the K columns is one
+# reduction over axis -2.  Their transforms are (..., K, P), with one batch
+# axis B in front.
 
 _KINDS = ("hankel", "toeplitz")
 
@@ -195,28 +207,39 @@ def _check_kind(kind: str) -> str:
     return kind
 
 
-def row_transforms(X: np.ndarray) -> np.ndarray:
-    """FFT of the factor ``X`` (..., n, K) along its rows at length
-    ``fft_length(n)``: the (..., P, K) transforms the kernels read."""
-    return np.fft.fft(X, n=fft_length(X.shape[-2]), axis=-2)
+def row_transforms(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """FFT of the K-major factor ``X`` (..., K, n) along its rows, the last
+    axis, at length ``fft_length(n)``: the (..., K, P) transforms the kernels
+    read, written into ``out`` when one is given."""
+    return np.fft.fft(X, n=fft_length(X.shape[-1]), axis=-1, out=out)
+
+
+def conj_transforms(F: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The row transforms of conj(X) from those of X, ``F`` (..., K, P), by
+    frequency reversal, FFT(conj x)[m] = conj(FFT(x)[-m mod P]), written
+    into ``out``: no FFT and no conjugate copy of X."""
+    np.conjugate(F[..., :1], out=out[..., :1])
+    np.conjugate(F[..., :0:-1], out=out[..., 1:])
+    return out
 
 
 def _vector_transforms(v: np.ndarray, P: int) -> np.ndarray:
-    """FFT of v / omega at length P, (..., P, 1) to broadcast over columns."""
-    return np.fft.fft(v / weight_vector(v.shape[-1]).omega, n=P, axis=-1)[..., None]
-
-
-def _product(kind: str, Fv: np.ndarray, FZ: np.ndarray) -> np.ndarray:
-    """Transform of the cyclic product holding (lift v) Z, from ``Fv`` and
-    ``FZ``, the row transform of conj(Z) for "hankel" and of Z for "toeplitz"."""
-    return Fv * FZ.conj() if kind == "hankel" else Fv * FZ
+    """FFT of v / omega at length P, (..., 1, P) to broadcast over the K rows."""
+    return np.fft.fft(v / weight_vector(v.shape[-1]).omega, n=P, axis=-1)[..., None, :]
 
 
 def _product_rows(kind: str, out: np.ndarray, n: int) -> np.ndarray:
-    """The rows of the cyclic product ``out`` (..., P, K) that are (lift v) Z."""
+    """The rows of the cyclic product ``out`` (..., K, P) that are (lift v) Z, (..., K, n)."""
     # row j of (G v) Z is sum_k u[j + k] Z[k, :], a correlation; row j of
     # (W v) Z is sum_k u[n - 1 + j - k] Z[k, :], a convolution
-    return out[..., :n, :] if kind == "hankel" else out[..., n - 1:2 * n - 1, :]
+    return out[..., :n] if kind == "hankel" else out[..., n - 1:2 * n - 1]
+
+
+def _k_major(Z: np.ndarray) -> np.ndarray:
+    """The factor ``Z`` (..., n, K) as the contiguous K-major Z^T, (..., K, n):
+    numpy lays an FFT's output out like its input, so the transforms are
+    contiguous too."""
+    return np.ascontiguousarray(Z.swapaxes(-2, -1))
 
 
 def fast_lift_mul(kind: str, v: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -224,16 +247,19 @@ def fast_lift_mul(kind: str, v: np.ndarray, Z: np.ndarray) -> np.ndarray:
 
     ``v`` is (..., 2n - 1) and ``Z`` (..., n, K); the result is (..., n, K),
     equal to ``g_apply(v) @ Z`` resp. ``w_apply(v) @ Z`` up to roundoff, at
-    O(K N log N) cost.
+    O(K N log N) cost.  Both are convolutions read like (W v) Z: row j of
+    (G v) Z, sum_k u[j + k] Z[k, :], is sum_k u[n - 1 + j - k] Zf[k, :] for
+    the row-flipped factor Zf[k] = Z[n - 1 - k], so no array is conjugated.
     """
     kind = _check_kind(kind)
     v, Z = np.asarray(v), np.asarray(Z)
     n = Z.shape[-2]
     if v.shape[-1] != 2 * n - 1:
         raise ValueError(f"vector length {v.shape[-1]} does not match factor rows {n}")
-    FZ = row_transforms(Z.conj() if kind == "hankel" else Z)
-    prod = _product(kind, _vector_transforms(v, FZ.shape[-2]), FZ)
-    return _product_rows(kind, np.fft.ifft(prod, axis=-2), n)
+    Zt = _k_major(Z)
+    FZ = row_transforms(Zt[..., ::-1] if kind == "hankel" else Zt)
+    prod = _vector_transforms(v, FZ.shape[-1]) * FZ
+    return _product_rows("toeplitz", np.fft.ifft(prod, axis=-1, out=prod), n).swapaxes(-2, -1)
 
 
 def _blocks(stacked: np.ndarray, parts: list) -> list:
@@ -251,7 +277,8 @@ def _lift_adjoints(n: int, hankel: list, toeplitz: list) -> tuple:
     ``toeplitz``, each s (B, P), all in one inverse FFT; returns the two
     lists of (B, 2n - 1) adjoints."""
     N = 2 * n - 1
-    out = np.fft.ifft(np.concatenate(hankel + toeplitz), axis=-1)
+    out = np.concatenate(hankel + toeplitz, dtype=complex)
+    np.fft.ifft(out, axis=-1, out=out)
     w = weight_vector(N).omega
     B_h = sum(len(s) for s in hankel)
     # skew-diagonal sums of A B^H are the first N entries of the
@@ -273,45 +300,47 @@ def fast_adjoint_lowrank(kind: str, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     n = A.shape[-2]
     if B.shape[-2] != n or A.shape[-1] != B.shape[-1]:
         raise ValueError(f"factor shapes {A.shape} and {B.shape} do not match")
-    FA = row_transforms(A)
+    FA = row_transforms(_k_major(A))
     if kind == "hankel":
-        s = _ksum(FA, row_transforms(B.conj()))
+        s = _ksum(FA, row_transforms(_k_major(B.conj())))
     else:
-        s = _ksum(FA, (FA if B is A else row_transforms(B)).conj())
+        s = _ksum(FA, (FA if B is A else row_transforms(_k_major(B))).conj())
     flat = [s.reshape(-1, s.shape[-1])]
     h, hw = _lift_adjoints(n, flat, []) if kind == "hankel" else _lift_adjoints(n, [], flat)
     return (h + hw)[0].reshape(s.shape[:-1] + (2 * n - 1,))
 
 
 def _ksum(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """sum_k A[..., k] * B[..., k] as a running sum.
+    """sum_k A[..., k, :] * B[..., k, :], one reduction over the K axis -2.
 
-    Bit-identical to ``(A * B).sum(axis=-1)`` for K <= 3, and several times
-    faster on the short last axis the factor transforms have.
+    numpy adds the K rows of a reduction over a non-last axis one after the
+    other, so this is the running sum A[0] B[0] + A[1] B[1] + ... bit for bit.
     """
-    s = A[..., 0] * B[..., 0]
-    for k in range(1, A.shape[-1]):
-        s += A[..., k] * B[..., k]
-    return s
+    return (A * B).sum(axis=-2)
 
 
 def lift_products_from_transforms(v: np.ndarray, FZcs: tuple, u: np.ndarray,
                                   FC: np.ndarray) -> tuple:
     """(G v) Z for each Z of a tuple, and (W u) C, from transforms the
-    caller already holds.
+    caller already holds, K-major.
 
-    ``FZcs`` holds the :func:`row_transforms` of conj(Z) for each Z, each
-    (B_h, P, K), and ``FC`` that of C, (B_w, P, K); ``v`` is (B_h, 2n - 1)
+    ``FZcs`` holds the :func:`row_transforms` of conj(Z)^T for each Z, each
+    (B_h, K, P), and ``FC`` that of C^T, (B_w, K, P); ``v`` is (B_h, 2n - 1)
     and ``u`` (B_w, 2n - 1).  All products share one batched FFT of
-    v / omega and u / omega and one batched inverse FFT; returns the
-    (G v) Z in the order of ``FZcs``, then (W u) C, each (B, n, K).
+    v / omega and u / omega, are written into one buffer and inverted there
+    by one batched inverse FFT; returns the ((G v) Z)^T in the order of
+    ``FZcs``, then ((W u) C)^T, each (B, K, n).
     """
     n = (v.shape[-1] + 1) // 2
-    Fvu = _vector_transforms(np.concatenate([v, u]), FC.shape[-2])
+    Fvu = _vector_transforms(np.concatenate([v, u]), FC.shape[-1])
     Fv, Fu = Fvu[:len(v)], Fvu[len(v):]
-    out = np.fft.ifft(np.concatenate([_product("hankel", Fv, FZc) for FZc in FZcs]
-                                     + [_product("toeplitz", Fu, FC)]), axis=-2)
+    out = np.empty((len(FZcs) * len(v) + len(u),) + FC.shape[1:], dtype=complex)
     *hankel, toeplitz = _blocks(out, [*FZcs, FC])
+    for FZc, prod in zip(FZcs, hankel):  # correlations: Fv * conj(FZc)
+        np.conjugate(FZc, out=prod)
+        prod *= Fv
+    np.multiply(Fu, FC, out=toeplitz)
+    np.fft.ifft(out, axis=-1, out=out)
     return (*(_product_rows("hankel", h, n) for h in hankel), _product_rows("toeplitz", toeplitz, n))
 
 
@@ -319,8 +348,8 @@ def adjoints_from_transforms(FA: np.ndarray, FBc: np.ndarray, FC: np.ndarray,
                              n: int) -> tuple:
     """G*(A B^H) and W*(C C^H) from transforms the caller already holds.
 
-    ``FA``, ``FBc`` and ``FC`` are the :func:`row_transforms` of A, conj(B)
-    and C, each (B_h, P, K) resp. (B_w, P, K).  Both adjoints share one
+    ``FA``, ``FBc`` and ``FC`` are the :func:`row_transforms` of A^T, conj(B)^T
+    and C^T, each (B_h, K, P) resp. (B_w, K, P).  Both adjoints share one
     batched inverse FFT; returns (h, hw) of shapes (B_h, 2n - 1) and
     (B_w, 2n - 1).
     """
@@ -341,10 +370,17 @@ def line_adjoints(FA: np.ndarray, FBc: np.ndarray, FC: np.ndarray,
         W*((C - eta C')(C - eta C')^H) = hw0 - eta hw1 + eta^2 hw2,
 
     with (h0, hw0) = ``adjoints_from_transforms(FA, FBc, FC, n)``.  All four
-    share one batched inverse FFT, so each eta then costs O(B N).
+    share one batched inverse FFT, so each eta then costs O(B N).  When
+    ``FA is FBc`` and ``GA is GBc`` (A = conj B, the symmetric factor) the
+    two K-sums of h1 are one product, made once and doubled; the two of hw1
+    are conjugates, so hw1 is 2 Re of one K-sum.
     """
+    if FA is FBc and GA is GBc:
+        h1 = _ksum(FA, GA)
+        h1 *= 2.0
+    else:
+        h1 = _ksum(FA, GBc) + _ksum(GA, FBc)
     GCc = GC.conj()
-    (h1, h2), (hw1, hw2) = _lift_adjoints(
-        n, [_ksum(FA, GBc) + _ksum(GA, FBc), _ksum(GA, GBc)],
-        [_ksum(FC, GCc) + _ksum(GC, FC.conj()), _ksum(GC, GCc)])
+    hw1 = 2.0 * _ksum(FC, GCc).real
+    (h1, h2), (hw1, hw2) = _lift_adjoints(n, [h1, _ksum(GA, GBc)], [hw1, _ksum(GC, GCc)])
     return h1, h2, hw1, hw2

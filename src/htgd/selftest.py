@@ -66,17 +66,17 @@ def _check_fast_paths(rng) -> CheckResult:
                 (ops.fast_adjoint_lowrank("hankel", Z, B), ops.g_adjoint(Z @ B.conj().T)),
                 (ops.fast_adjoint_lowrank("toeplitz", Z, B), ops.w_adjoint(Z @ B.conj().T)),
             ]
-            # the solvers' kernels: G*(Z B^H), W*(Z Z^H), (G v) B and (W v) Z
-            # from cached transforms
-            FZ, FBc = ops.row_transforms(np.stack([Z, B.conj()]))
+            # the solvers' kernels on K-major factors, Z^T and conj(B)^T: G*(Z B^H),
+            # W*(Z Z^H), (G v) B and (W v) Z from cached transforms
+            FZ, FBc = ops.row_transforms(np.stack([Z.T, B.conj().T]))
             h, hw = ops.adjoints_from_transforms(FZ[None], FBc[None], FZ[None], n)
             pairs += [(h[0], ops.g_adjoint(Z @ B.conj().T)), (hw[0], ops.w_adjoint(Z @ Z.conj().T))]
             gb, wz = ops.lift_products_from_transforms(v[None], (FBc[None],), v[None], FZ[None])
-            pairs += [(gb[0], ops.g_apply(v) @ B), (wz[0], ops.w_apply(v) @ Z)]
+            pairs += [(gb[0].T, ops.g_apply(v) @ B), (wz[0].T, ops.w_apply(v) @ Z)]
             # and along a line: the same adjoints at (Z - eta Z')(B - eta B')^H
             Zd = rng.standard_normal((n, K)) + 1j * rng.standard_normal((n, K))
             Bd = rng.standard_normal((n, K)) + 1j * rng.standard_normal((n, K))
-            FZd, FBdc = ops.row_transforms(np.stack([Zd, Bd.conj()]))
+            FZd, FBdc = ops.row_transforms(np.stack([Zd.T, Bd.conj().T]))
             h1, h2, hw1, hw2 = ops.line_adjoints(FZ[None], FBc[None], FZ[None],
                                                  FZd[None], FBdc[None], FZd[None], n)
             for eta in (0.3, 4.0):

@@ -18,6 +18,7 @@ from htgd.descent import (
     Line,
     SolverConfig,
     Trial,
+    _rel_change,
     armijo_step,
     gradient_line,
     prepare_observed,
@@ -375,8 +376,10 @@ def grad_and_line(module, state, obs):
 
 
 def random_state(module, rng, dims):
-    rows = 2 * dims.n if module is mhtgd else dims.n
-    shape = (dims.L, rows, dims.K)
+    """A random K-major solver state: (2, L, K, n) for mhtgd, (L, K, n) for chtgd."""
+    shape = (dims.L, dims.K, dims.n)
+    if module is mhtgd:
+        shape = (2,) + shape
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
@@ -441,24 +444,26 @@ def gram_scaling(z):
 def test_chtgd_line_is_gram_scaled_and_descends_to_first_order(seed):
     dims, y, mask, obs, z = line_instance(chtgd, seed)
     line, _ = grad_and_line(chtgd, start(chtgd, z, obs), obs)
-    G = chtgd.grad_g(chtgd.FactorSetC(z), y, mask, dims).z
+    G = chtgd.grad_g(chtgd.FactorSetC.from_stacked(z), y, mask, dims).stacked()
     D = line.direction
-    np.testing.assert_allclose(D @ gram_scaling(z), G, rtol=0, atol=1e-10 * np.abs(G).max())
+    # in the (L, n, K) layout of the factors: D_l P_l = G_l
+    np.testing.assert_allclose(np.swapaxes(D, -2, -1) @ gram_scaling(np.swapaxes(z, -2, -1)),
+                               np.swapaxes(G, -2, -1), rtol=0, atol=1e-10 * np.abs(G).max())
     assert line.slope == np.vdot(G, D).real
     assert line.slope > 0
     # f(z - eta D) = f(z) - 2 eta slope + O(eta^2)
     eps = 1e-6
-    fm, fp = (chtgd.objective_g(chtgd.FactorSetC(z + s * eps * D), y, mask, dims)
+    fm, fp = (chtgd.objective_g(chtgd.FactorSetC.from_stacked(z + s * eps * D), y, mask, dims)
               for s in (-1.0, 1.0))
     assert (fm - fp) / (2 * eps) == pytest.approx(-2.0 * line.slope, rel=1e-5)
 
 
 def test_chtgd_direction_is_finite_for_a_zero_factor_column():
     dims, y, mask, obs, z = line_instance(chtgd, 3)
-    z[:, :, -1] = 0.0  # rank K - 1 in every channel: each Gram is singular
+    z[:, -1, :] = 0.0  # rank K - 1 in every channel: each Gram is singular
     line, _ = grad_and_line(chtgd, start(chtgd, z, obs), obs)
     assert np.all(np.isfinite(line.direction)) and line.slope > 0
-    assert np.all(line.direction[:, :, -1] == 0)
+    assert np.all(line.direction[:, -1, :] == 0)
 
 
 @pytest.mark.filterwarnings("ignore:clustered singular values")  # the init's zero tail
@@ -473,7 +478,7 @@ def test_chtgd_solves_with_k_above_the_true_order():
     observed = MultichannelSignal(data=apply_mask(sig, mask).data, dims=dims)
     obs = weigh_observations(observed, mask)
     init = chtgd.spectral_init_ca(obs.yT.T, mask, dims, seed=0)
-    line, _ = grad_and_line(chtgd, start(chtgd, init.z, obs), obs)
+    line, _ = grad_and_line(chtgd, start(chtgd, init.stacked(), obs), obs)
     assert np.all(np.isfinite(line.direction)) and line.slope > 0
     report = solve_chtgd(observed, mask, SolverConfig(),
                          ground_truth=MultichannelSignal(data=sig.data, dims=dims))
@@ -642,3 +647,31 @@ def test_all_zero_observations_stop_at_the_zero_gradient(solver, is_ca):
     report = solver(zeros, mask, SolverConfig(max_iter=300))
     assert report.stop_reason == STOP_CONVERGED and report.iterations == 1
     assert np.all(report.x_hat == 0)
+
+
+def test_rel_change_is_the_norm_quotient_bit_for_bit():
+    # the relative change by ndarray methods equals the np.linalg.norm formula
+    def reference(x_new, x_old):
+        denom = np.linalg.norm(x_old)
+        diff = np.linalg.norm(x_new - x_old)
+        if denom == 0.0:
+            return 0.0 if diff == 0.0 else np.inf
+        return float(diff / denom)
+
+    rng = np.random.default_rng(6)
+
+    def randc(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    zero = np.zeros((3, 17), dtype=complex)
+    cases = [(randc(5, 129), randc(5, 129)) for _ in range(20)]
+    cases += [(randc(3, 17) * 10.0 ** e, randc(3, 17)) for e in (-150, -8, 8, 150)]
+    cases += [(zero, zero), (randc(3, 17), zero), (zero, randc(3, 17))]
+    for bad in (np.inf, -np.inf, np.nan, complex(np.inf, np.nan)):
+        x = randc(3, 17)
+        x[1, 4] = bad
+        cases += [(x, randc(3, 17)), (randc(3, 17), x), (x, x)]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for x_new, x_old in cases:
+            got, want = _rel_change(x_new, x_old), reference(x_new, x_old)
+            assert np.array_equal(np.float64(got), np.float64(want), equal_nan=True)

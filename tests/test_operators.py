@@ -229,6 +229,12 @@ def test_fast_paths_batched():
             assert_allclose(got[l], ops.fast_adjoint_lowrank(kind, A[l], B[l]), atol=1e-12)
 
 
+def kfft(X, P):
+    """The K-major row transforms the kernels read: X (..., n, K) as X^T,
+    transformed along its contiguous last axis, (..., K, P)."""
+    return np.fft.fft(np.swapaxes(X, -2, -1), n=P, axis=-1)
+
+
 @pytest.mark.parametrize("n,K", [(1, 1), (4, 2), (17, 3), (64, 4)])
 @pytest.mark.parametrize("pattern", ["mhtgd", "chtgd"])
 def test_adjoints_from_transforms_matches_dense(pattern, n, K):
@@ -240,13 +246,12 @@ def test_adjoints_from_transforms_matches_dense(pattern, n, K):
     if pattern == "mhtgd":  # h_l = G*(z2_l z1_l^H), hw_l = W*(z1_l z1_l^H)
         B = randc(rng, L, n, K)
         C = B
-        FC = np.fft.fft(C, n=P, axis=-2)
-        h, hw = ops.adjoints_from_transforms(
-            np.fft.fft(A, n=P, axis=-2), np.fft.fft(B.conj(), n=P, axis=-2), FC, n)
+        FC = kfft(C, P)
+        h, hw = ops.adjoints_from_transforms(kfft(A, P), kfft(B.conj(), P), FC, n)
     else:  # h_l = G*(z_l z_l^T), hw = W*(z_1 z_1^H) of the anchor channel only
         B = A.conj()
         C = A[:1]
-        FA = np.fft.fft(A, n=P, axis=-2)
+        FA = kfft(A, P)
         h, hw = ops.adjoints_from_transforms(FA, FA, FA[:1], n)
     assert h.shape == (L, 2 * n - 1) and hw.shape == (C.shape[0], 2 * n - 1)
     for l in range(L):
@@ -256,25 +261,25 @@ def test_adjoints_from_transforms_matches_dense(pattern, n, K):
         want = ops.w_adjoint(C[l] @ C[l].conj().T)
         assert np.max(np.abs(hw[l] - want)) <= 1e-10 * np.max(np.abs(want))
     # the lift products, both kinds in one call: (G v_l) X_l for every Hankel
-    # factor X of channel l, and (W u_c) C_c
+    # factor X of channel l, and (W u_c) C_c, each returned K-major, (B, K, n)
     v = randc(rng, L, 2 * n - 1)
     u = randc(rng, C.shape[0], 2 * n - 1)
     if pattern == "mhtgd":  # (G v_l) z1_l and (G v_l) conj(z2_l): two Hankel factors per channel
         X = (A, B.conj())
         *gv, wu = ops.lift_products_from_transforms(
-            v, tuple(np.fft.fft(x.conj(), n=P, axis=-2) for x in X), u, FC)
+            v, tuple(kfft(x.conj(), P) for x in X), u, FC)
     else:  # (G v_l) conj(z_l) from the transforms of z_l, and W(u) z_1 of the anchor
         X = (A.conj(),)
         *gv, wu = ops.lift_products_from_transforms(v, (FA,), u, FA[:1])
-    assert len(gv) == len(X) and wu.shape == C.shape
+    assert len(gv) == len(X) and wu.shape == C.swapaxes(-2, -1).shape
     for x, g in zip(X, gv):
-        assert g.shape == x.shape
+        assert g.shape == x.swapaxes(-2, -1).shape
         for l in range(L):
             want = ops.g_apply(v[l]) @ x[l]
-            assert np.max(np.abs(g[l] - want)) <= 1e-10 * np.max(np.abs(want))
+            assert np.max(np.abs(g[l].T - want)) <= 1e-10 * np.max(np.abs(want))
     for l in range(C.shape[0]):
         want = ops.w_apply(u[l]) @ C[l]
-        assert np.max(np.abs(wu[l] - want)) <= 1e-10 * np.max(np.abs(want))
+        assert np.max(np.abs(wu[l].T - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def line_kernel_args(pattern, rng, L, n, K):
@@ -283,7 +288,7 @@ def line_kernel_args(pattern, rng, L, n, K):
     P = ops.fft_length(n)
 
     def fft(X):
-        return np.fft.fft(X, n=P, axis=-2)
+        return kfft(X, P)
 
     if pattern == "mhtgd":  # (F2, F1c, F1): h_l = G*(z2_l z1_l^H), hw_l = W*(z1_l z1_l^H)
         def args(Z):
@@ -317,13 +322,42 @@ def test_line_adjoints_match_fresh_transforms(data, pattern):
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("n,K", [(4, 1), (17, 3), (64, 6)])
+def test_line_adjoints_symmetric_shortcut_matches_the_general_path(n, K):
+    # chtgd passes FA is FBc and GA is GBc: h1 is one K-sum doubled; copies of
+    # the same transforms take the general path of two K-sums
+    rng = np.random.default_rng(n + K)
+    P = ops.fft_length(n)
+    FZ, GZ = kfft(randc(rng, 3, n, K), P), kfft(randc(rng, 3, n, K), P)
+    short = ops.line_adjoints(FZ, FZ, FZ[:1], GZ, GZ, GZ[:1], n)
+    general = ops.line_adjoints(FZ, FZ.copy(), FZ[:1], GZ, GZ.copy(), GZ[:1], n)
+    for got, want in zip(short, general):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("n", [5, 33])  # P = 9 and 66: an odd and an even length
+def test_conj_transforms_equal_a_direct_fft_of_the_conjugate(n):
+    P = ops.fft_length(n)
+    assert P == {5: 9, 33: 66}[n]
+    rng = np.random.default_rng(n)
+    X = randc(rng, 2, 3, 4, n)
+    got = ops.conj_transforms(ops.row_transforms(X), np.empty((2, 3, 4, P), dtype=complex))
+    want = ops.row_transforms(X.conj())
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
 def test_ksum_is_bit_identical_to_sum_for_short_axes():
+    # the K axis is -2: a running sum over it, and the reduction, agree bit for bit
     rng = np.random.default_rng(4)
-    for K in (1, 2, 3):
-        A = randc(rng, 3, 64, K)
-        B = randc(rng, 3, 64, K)
-        assert np.array_equal(ops._ksum(A, B), (A * B).sum(axis=-1))
-        assert np.array_equal(ops._ksum(A, B[:1]), (A * B[:1]).sum(axis=-1))
+    for K in (1, 2, 3, 16):
+        A = randc(rng, 3, K, 64)
+        B = randc(rng, 3, K, 64)
+        for Bk in (B, B[:1]):
+            running = A[:, 0] * Bk[:, 0]
+            for k in range(1, K):
+                running = running + A[:, k] * Bk[:, k]
+            assert np.array_equal(ops._ksum(A, Bk), (A * Bk).sum(axis=-2))
+            assert np.array_equal(ops._ksum(A, Bk), running)
 
 
 def test_fast_paths_reject_bad_shapes():

@@ -56,7 +56,7 @@ def test_corrupted_lift_products_fail_the_fast_path_check(monkeypatch):
 
     def corrupted(*args):
         *gv, wu = real(*args)
-        return (*gv, np.roll(wu, 1, axis=-2))  # Toeplitz rows off by one
+        return (*gv, np.roll(wu, 1, axis=-1))  # Toeplitz rows off by one
 
     monkeypatch.setattr(ops, "lift_products_from_transforms", corrupted)
     fast = [r for r in run_selftest() if "fast paths" in r.name]
