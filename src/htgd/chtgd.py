@@ -138,9 +138,9 @@ def _objective_stacked(t: Trial, obs: Observed):
     return float(t1 + t2 + t3 + t4)
 
 
-def _gradient(t: Trial, FZ, obs: Observed):
+def _gradient(t: Trial, obs: Observed):
     """(G, D, None): the gradient at the Trial ``t``, from its transforms
-    ``FZ``, its lifts and the point algebra its objective carried (made here
+    ``t.F``, its lifts and the point algebra its objective carried (made here
     when it carries none), the Gram-scaled direction D_l = G_l P_l^{-1}
     (module docstring), and no first trial of its own.  G and D are K-major
     like the state: each term below is the transpose of its column form,
@@ -150,7 +150,7 @@ def _gradient(t: Trial, FZ, obs: Observed):
     resid, gram, anchor = t.carry.pop("algebra", None) or _point_algebra(t, obs)
     v = resid / obs.p - h
     # (G(v_l) conj(z_l))^T from the transforms of z_l, and (W(hw) z_1)^T
-    gv_zc, ww_z1 = ops.lift_products_from_transforms(v, (FZ,), hw, FZ[:1])
+    gv_zc, ww_z1 = ops.lift_products_from_transforms(v, (t.F,), hw, t.F[:1])
     grad = np.empty_like(z)
     np.subtract(gv_zc[0], ww_z1[0], out=grad[0])
     grad[0] += (gram[0].conj() + L * gram[0]).T @ z[0]
@@ -180,7 +180,7 @@ def grad_g(factors: FactorSetC, y: np.ndarray, mask: SamplingMask,
     """Conjugate Wirtinger gradient of :func:`objective_g` at ``factors``."""
     obs = prepare_observed(y, mask, dims)
     t = start_point(factors.stacked(), obs, _transforms, _kernel_args)
-    return FactorSetC.from_stacked(_gradient(t, t.F, obs)[0])
+    return FactorSetC.from_stacked(_gradient(t, obs)[0])
 
 
 def spectral_init_ca(y: np.ndarray, mask: SamplingMask, dims: ProblemDims,

@@ -50,22 +50,29 @@ factor transforms; around them it calls :func:`weigh_observations`,
 :func:`start_point`, :func:`run_descent`, :func:`gradient_line` and
 :func:`solver_report` from here.  :func:`start_point` transforms the start
 state once into a Trial with its lifts.  The gradient call reads them and
-hands :func:`run_descent` the line and the signal x = h / omega that the
-state reconstructs, which the stopping rule reads.  :func:`run_descent`
-returns a :class:`SolverReport` at the descent's scale and layout, and
-:func:`solver_report` maps that same record to the user's; a new result
-field is declared once, on :class:`SolverReport`.
+hands :func:`run_descent` the line, whose trials make their own lifts,
+and the signal x = h / omega that the state reconstructs, which the
+stopping rule reads.  :func:`run_descent` returns a :class:`SolverReport`
+at the descent's scale and layout, and :func:`solver_report` maps that
+same record to the user's; a new result field is declared once, on
+:class:`SolverReport`.
 
 Cost of one iteration.  The solvers' lifts G*(A B^H) and W*(C C^H) read
 the factors only through their row FFTs F, which are real-linear in the
-state, so F(Z - eta D) = F(Z) - eta F(D) and the lifts along the line
-are quadratics in eta.  :func:`gradient_line` thus transforms one array,
-the new direction, and returns a :class:`Line` whose trial points
-(:class:`Trial`) carry h(eta) = h0 - eta h1 + eta^2 h2, at a cost of
-O(L K N log N + L^2 K^2 N).  A trial costs O(L N + L^2 K^2 N) and no FFT;
-the accepted one hands its lifts and transforms to the next gradient call,
-and in ``Trial.carry`` the K x K Grams and masked residual its objective
-evaluation made, so that call makes none of them again.
+state, so F(Z - eta D) = F(Z) - eta F(D).  :func:`gradient_line` thus
+transforms one array, the new direction, at a cost of O(L K N log N +
+L^2 K^2 N) with the gradient, and returns a :class:`Line` whose trial
+points (:class:`Trial`) form their transforms F - eta F(D) with no
+forward FFT.  Each trial makes its lifts from them, as a start point
+does, through ``operators.adjoints_from_transforms``: one inverse FFT of
+2L rows (mhtgd) or L + 1 rows (chtgd) and two K-sums, O(L K N log N),
+then its objective, O(L N + L^2 K^2 N).  The accepted trial hands its
+transforms and lifts to the next gradient call, and in ``Trial.carry``
+the K x K Grams and masked residual its objective evaluation made, so
+that call makes none of them again.  A search takes about 1.1-1.4
+trials, so these direct lifts cost less than lifts taken along the line
+as quadratics in eta, whose coefficients need four or five more K-sums
+and an inverse FFT of twice the rows per line.
 """
 
 from __future__ import annotations
@@ -186,43 +193,38 @@ def weigh_observations(observations: MultichannelSignal, mask: SamplingMask) -> 
 
 
 class Trial(NamedTuple):
-    """The point z - eta * D of one line search, as a solver's objective takes it.
+    """A point of the descent, as a solver's objective and gradient take it.
 
-    ``h`` and ``hw`` are the solver's lifts there; its factor transforms
-    are the carried ``F - eta * FD``, formed by :meth:`transforms` only
-    when the trial is accepted and the next gradient needs them.  A start
-    point (:func:`start_point`) has FD = 0 and eta = 0, so its transforms
-    are F itself.  ``carry`` starts empty; a solver's objective leaves in
-    it what its gradient reads again at the same point (the Grams and the
-    masked residual), and the gradient takes them out, so they are freed
-    before the next line search; a gradient at a point the objective has
-    not seen makes them itself.
+    ``z`` is the state and ``F`` its factor transforms, a solver's
+    ``transforms(z)``; ``h`` and ``hw`` are the solver's lifts there, made
+    from F by ``operators.adjoints_from_transforms``.  A start point
+    (:func:`start_point`) transforms z itself; a line-search trial
+    z - eta * D forms F from its line's transforms (:func:`gradient_line`).
+    ``carry`` starts empty; a solver's objective leaves in it what its
+    gradient reads again at the same point (the Grams and the masked
+    residual), and the gradient takes them out, so they are freed before
+    the next line search; a gradient at a point the objective has not seen
+    makes them itself.
     """
 
     z: np.ndarray
     h: np.ndarray
     hw: np.ndarray
     F: np.ndarray
-    FD: np.ndarray
-    eta: float
     carry: dict
 
-    def transforms(self) -> np.ndarray:
-        if not self.eta:
-            return self.F
-        # one buffer, and FD is not scaled in place: every trial of the line shares it
-        out = np.multiply(self.FD, -self.eta)
-        out += self.F
-        return out
+
+def _point(z: np.ndarray, F: np.ndarray, obs: Observed, kernel_args: Callable) -> Trial:
+    """The Trial at ``z`` with transforms ``F``, and its lifts made from them."""
+    h, hw = ops.adjoints_from_transforms(*kernel_args(F), (len(obs.w) + 1) // 2)
+    return Trial(z, h, hw, F, {})
 
 
 def start_point(z: np.ndarray, obs: Observed, transforms: Callable,
                 kernel_args: Callable) -> Trial:
     """The Trial at the state array ``z``: its transforms F, made here, and the
-    lifts (h, hw) from them, with a zero step so that ``transforms()`` is F."""
-    F = transforms(z)
-    h, hw = ops.adjoints_from_transforms(*kernel_args(F), (len(obs.w) + 1) // 2)
-    return Trial(z, h, hw, F, 0, 0.0, {})
+    lifts (h, hw) from them."""
+    return _point(z, transforms(z), obs, kernel_args)
 
 
 class Line(NamedTuple):
@@ -232,7 +234,8 @@ class Line(NamedTuple):
     Along the line f(eta) = f(0) - 2 eta slope + O(eta^2), since G is the
     conjugate Wirtinger gradient; the direction is G itself for plain
     gradient descent, and slope = ||G||^2.  :func:`gradient_line` builds it
-    with Trial points that carry their lifts, so a trial costs no FFT.
+    with Trial points that make their lifts from the line's transforms, so
+    a trial costs one inverse FFT and no forward FFT.
     ``first`` is the line's first trial step; ``None`` leaves it to
     :func:`armijo_step`'s BB2 rule.
     """
@@ -246,27 +249,27 @@ class Line(NamedTuple):
 def gradient_line(state: Trial, obs: Observed, transforms: Callable, kernel_args: Callable,
                   gradient: Callable) -> tuple:
     """(Line, x) at the Trial ``state``, from a solver's ``transforms(z)``,
-    ``kernel_args(F)`` and ``gradient(t, F, obs)``, which returns (G, D,
-    first): the gradient at the Trial t, the direction to descend along and
-    the Line's first trial step (None for :func:`armijo_step`'s BB2 rule);
-    x = h0 / omega is the signal the state reconstructs, (L, full_N).
+    ``kernel_args(F)`` and ``gradient(t, obs)``, which returns (G, D,
+    first): the gradient at the Trial t, read from its transforms ``t.F``
+    and lifts, the direction to descend along and the Line's first trial
+    step (None for :func:`armijo_step`'s BB2 rule); x = h / omega is the
+    signal the state reconstructs, (L, full_N).
 
-    F and the lifts (h0, hw0) are the Trial's; FD, of the direction, is the
-    one transform made here.  The lifts are quadratic in the state, so along
-    any direction a trial costs no FFT: h(eta) = h0 - eta h1 + eta^2 h2, and
-    the same for hw (:func:`operators.line_adjoints`).
+    FD, of the direction, is the one transform made here.  The trial at eta
+    forms its transforms F - eta FD and makes its lifts from them, so the
+    accepted trial hands both to the next call unchanged.
     """
-    z, h0, hw0, F = state.z, state.h, state.hw, state.transforms()
-    grad, direction, first = gradient(state, F, obs)
+    z, F = state.z, state.F
+    grad, direction, first = gradient(state, obs)
     FD = transforms(direction)
-    h1, h2, hw1, hw2 = ops.line_adjoints(*kernel_args(F), *kernel_args(FD),
-                                         (len(obs.w) + 1) // 2)
 
     def at(eta: float) -> Trial:
-        return Trial(z - eta * direction, h0 - eta * (h1 - eta * h2),
-                     hw0 - eta * (hw1 - eta * hw2), F, FD, eta, {})
+        # one buffer, and FD is not scaled in place: every trial of the line shares it
+        Ft = np.multiply(FD, -eta)
+        Ft += F
+        return _point(z - eta * direction, Ft, obs, kernel_args)
 
-    return Line(direction, at, float(np.vdot(grad, direction).real), first), h0 / obs.w
+    return Line(direction, at, float(np.vdot(grad, direction).real), first), state.h / obs.w
 
 
 class ArmijoResult(NamedTuple):

@@ -18,8 +18,8 @@ lifts a ``descent.Trial`` carries and make none, and the gradient reads
 the Grams and masked residual that the objective left in the Trial's
 ``carry``; ``descent.start_point``
 and ``descent.gradient_line`` build the Trials from ``_transforms``,
-``_kernel_args`` and ``_gradient``.  A gradient costs O(L K N log N +
-L^2 K^2 N), an objective at a line-search trial O(L N + L^2 K^2 N) (see
+``_kernel_args`` and ``_gradient``.  A gradient, and a line-search trial
+with its lifts and objective, each cost O(L K N log N + L^2 K^2 N) (see
 :mod:`htgd.descent`); no n x n matrix is ever formed.
 
 Gradients are conjugate Wirtinger derivatives of the objective, so the
@@ -162,16 +162,16 @@ def _objective_stacked(t: Trial, obs: Observed):
     return float(t1 + t2 + t3 + t4)
 
 
-def _gradient(t: Trial, F, obs: Observed):
+def _gradient(t: Trial, obs: Observed):
     """(G, G, None): the gradient at the Trial ``t``, from its transforms
-    ``F``, its lifts and the point algebra its objective carried (made here
+    ``t.F``, its lifts and the point algebra its objective carried (made here
     when it carries none), the direction, G itself, and no first trial of
     its own.  G is K-major like the state: each term below is the transpose
     of its column form, (z S)^T = S^T z^T, so no factor is transposed."""
     state, h, hw = t.z, t.h, t.hw
     _, L, K, n = state.shape
     z1, z2 = state
-    F2, F1c, F1 = _kernel_args(F)
+    F2, F1c, F1 = _kernel_args(t.F)
     resid, (X1, X2, X1c, G1full, g11, g22) = t.carry.pop("algebra", None) or _point_algebra(t, obs)
     v = resid / obs.p - h
     # ((G v) z1)^T, ((G v) conj z2)^T and ((W hw) z1)^T, each (L, K, n)
@@ -195,7 +195,7 @@ class LbfgsDirection:
     """One solve's L-BFGS direction, in compact form.
 
     Called once per accepted iterate, in order, in place of
-    :func:`_gradient`: ``direction(t, F, obs)`` returns (G, D, UNIT_TRIAL)
+    :func:`_gradient`: ``direction(t, obs)`` returns (G, D, UNIT_TRIAL)
     with D = H G, H the inverse-Hessian approximation of the last
     ``MEMORY`` pairs (s, y) = (z_k - z_{k-1}, G_k - G_{k-1}), H0 = gamma I
     with gamma = Re<s, y> / ||y||^2 of the newest pair.  It returns
@@ -235,8 +235,8 @@ class LbfgsDirection:
         self._next = 0                        # the slot the next pair goes to
         self._started = False                 # whether the s and y rows hold an iterate
 
-    def __call__(self, t: Trial, F, obs: Observed):
-        grad = _gradient(t, F, obs)[0]
+    def __call__(self, t: Trial, obs: Observed):
+        grad = _gradient(t, obs)[0]
         return (grad, *self.step(t.z, grad))
 
     def step(self, z: np.ndarray, grad: np.ndarray) -> tuple:
@@ -330,7 +330,7 @@ def grad_f(factors: FactorSetM, y: np.ndarray, mask: SamplingMask,
     """Conjugate Wirtinger gradient of :func:`objective_f` at ``factors``."""
     obs = prepare_observed(y, mask, dims)
     t = start_point(factors.stacked(), obs, _transforms, _kernel_args)
-    return FactorSetM.from_stacked(_gradient(t, t.F, obs)[0])
+    return FactorSetM.from_stacked(_gradient(t, obs)[0])
 
 
 def spectral_init(y: np.ndarray, mask: SamplingMask, dims: ProblemDims,

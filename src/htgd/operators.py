@@ -29,14 +29,15 @@ the package is made by the kernels here: ``row_transforms`` (factor
 transforms; ``conj_transforms`` derives those of conj(Z) from them by
 frequency reversal, with no FFT), ``lift_products_from_transforms`` and
 ``adjoints_from_transforms`` (products and adjoints from transforms the
-caller already holds, as both solvers run them) and ``line_adjoints``
-(the adjoints along a descent line A - eta A' as quadratics in eta, so a
-line search needs no FFT).  ``fast_lift_mul`` and ``fast_adjoint_lowrank``
-take and return the (..., n, K) layout and compose ``row_transforms``
-with the same kernel code; ``fast_lift_mul`` takes a Hankel product as a
-convolution with the row-flipped factor, so it conjugates nothing.  The
-dense lifts are the reference implementations used by tests and the
-self-test command.  ``top_exponent`` and ``ldexp`` scale by powers of two.
+caller already holds, as both solvers run them; every point of a descent,
+start point and line-search trial alike, makes its lifts through
+``adjoints_from_transforms``).  ``fast_lift_mul`` and
+``fast_adjoint_lowrank`` take and return the (..., n, K) layout and
+compose ``row_transforms`` with the same kernel code; ``fast_lift_mul``
+takes a Hankel product as a convolution with the row-flipped factor, so
+it conjugates nothing.  The dense lifts are the reference implementations
+used by tests and the self-test command.  ``top_exponent`` and ``ldexp``
+scale by powers of two.
 """
 
 from __future__ import annotations
@@ -262,30 +263,21 @@ def fast_lift_mul(kind: str, v: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return _product_rows("toeplitz", np.fft.ifft(prod, axis=-1, out=prod), n).swapaxes(-2, -1)
 
 
-def _blocks(stacked: np.ndarray, parts: list) -> list:
-    """``stacked`` cut along axis 0 into consecutive blocks as long as ``parts``."""
-    blocks, start = [], 0
-    for part in parts:
-        blocks.append(stacked[start:start + len(part)])
-        start += len(part)
-    return blocks
-
-
-def _lift_adjoints(n: int, hankel: list, toeplitz: list) -> tuple:
-    """G*(A B^H) for each K-summed transform product s = sum_k FA * FBc of
-    ``hankel``, and W*(A B^H) for each s = sum_k FA * conj(FB) of
-    ``toeplitz``, each s (B, P), all in one inverse FFT; returns the two
-    lists of (B, 2n - 1) adjoints."""
+def _adjoint_rows(kind: str, out: np.ndarray, n: int) -> np.ndarray:
+    """G*(A B^H) for kind="hankel" or W*(A B^H) for kind="toeplitz", (..., 2n - 1),
+    from ``out`` (..., P), the inverse FFT of a K-summed transform product:
+    sum_k FA * FBc for a Hankel adjoint, sum_k FA * conj(FB) for a Toeplitz one."""
     N = 2 * n - 1
-    out = np.concatenate(hankel + toeplitz, dtype=complex)
-    np.fft.ifft(out, axis=-1, out=out)
     w = weight_vector(N).omega
-    B_h = sum(len(s) for s in hankel)
     # skew-diagonal sums of A B^H are the first N entries of the
-    # convolution; diagonal sums the correlation at lags m - (n - 1)
-    h = out[:B_h, :N] / w
-    hw = out[B_h:, (np.arange(N) - (n - 1)) % out.shape[-1]] / w
-    return _blocks(h, hankel), _blocks(hw, toeplitz)
+    # convolution; diagonal sums the correlation at lags m - (n - 1): the
+    # last n - 1 entries (the negative lags), then the first n
+    if kind == "hankel":
+        return out[..., :N] / w
+    hw = np.empty(out.shape[:-1] + (N,), dtype=complex)
+    np.divide(out[..., out.shape[-1] - (n - 1):], w[:n - 1], out=hw[..., :n - 1])
+    np.divide(out[..., :n], w[n - 1:], out=hw[..., n - 1:])
+    return hw
 
 
 def fast_adjoint_lowrank(kind: str, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -305,9 +297,7 @@ def fast_adjoint_lowrank(kind: str, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         s = _ksum(FA, row_transforms(_k_major(B.conj())))
     else:
         s = _ksum(FA, (FA if B is A else row_transforms(_k_major(B))).conj())
-    flat = [s.reshape(-1, s.shape[-1])]
-    h, hw = _lift_adjoints(n, flat, []) if kind == "hankel" else _lift_adjoints(n, [], flat)
-    return (h + hw)[0].reshape(s.shape[:-1] + (2 * n - 1,))
+    return _adjoint_rows(kind, np.fft.ifft(s, axis=-1, out=s), n)
 
 
 def _ksum(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -326,21 +316,27 @@ def lift_products_from_transforms(v: np.ndarray, FZcs: tuple, u: np.ndarray,
 
     ``FZcs`` holds the :func:`row_transforms` of conj(Z)^T for each Z, each
     (B_h, K, P), and ``FC`` that of C^T, (B_w, K, P); ``v`` is (B_h, 2n - 1)
-    and ``u`` (B_w, 2n - 1).  All products share one batched FFT of
-    v / omega and u / omega, are written into one buffer and inverted there
-    by one batched inverse FFT; returns the ((G v) Z)^T in the order of
-    ``FZcs``, then ((W u) C)^T, each (B, K, n).
+    and ``u`` (B_w, 2n - 1).  v / omega and u / omega are divided into one
+    buffer and share one batched FFT; the products are written into one
+    buffer and inverted there by one batched inverse FFT.  Returns the
+    ((G v) Z)^T in the order of ``FZcs``, then ((W u) C)^T, each (B, K, n).
     """
-    n = (v.shape[-1] + 1) // 2
-    Fvu = _vector_transforms(np.concatenate([v, u]), FC.shape[-1])
-    Fv, Fu = Fvu[:len(v)], Fvu[len(v):]
-    out = np.empty((len(FZcs) * len(v) + len(u),) + FC.shape[1:], dtype=complex)
-    *hankel, toeplitz = _blocks(out, [*FZcs, FC])
+    B_h, N = v.shape
+    w = weight_vector(N).omega
+    vu = np.empty((B_h + len(u), N), dtype=complex)
+    np.divide(v, w, out=vu[:B_h])
+    np.divide(u, w, out=vu[B_h:])
+    Fvu = np.fft.fft(vu, n=FC.shape[-1], axis=-1)[:, None, :]
+    Fv, Fu = Fvu[:B_h], Fvu[B_h:]
+    out = np.empty((len(FZcs) * B_h + len(u),) + FC.shape[1:], dtype=complex)
+    hankel = out[:len(FZcs) * B_h].reshape((len(FZcs), B_h) + FC.shape[1:])
+    toeplitz = out[len(FZcs) * B_h:]
     for FZc, prod in zip(FZcs, hankel):  # correlations: Fv * conj(FZc)
         np.conjugate(FZc, out=prod)
         prod *= Fv
     np.multiply(Fu, FC, out=toeplitz)
     np.fft.ifft(out, axis=-1, out=out)
+    n = (N + 1) // 2
     return (*(_product_rows("hankel", h, n) for h in hankel), _product_rows("toeplitz", toeplitz, n))
 
 
@@ -353,34 +349,6 @@ def adjoints_from_transforms(FA: np.ndarray, FBc: np.ndarray, FC: np.ndarray,
     batched inverse FFT; returns (h, hw) of shapes (B_h, 2n - 1) and
     (B_w, 2n - 1).
     """
-    (h,), (hw,) = _lift_adjoints(n, [_ksum(FA, FBc)], [_ksum(FC, FC.conj())])
-    return h, hw
-
-
-def line_adjoints(FA: np.ndarray, FBc: np.ndarray, FC: np.ndarray,
-                  GA: np.ndarray, GBc: np.ndarray, GC: np.ndarray, n: int) -> tuple:
-    """The adjoints of :func:`adjoints_from_transforms` along a line, as
-    quadratics in a real step eta.
-
-    ``GA``, ``GBc`` and ``GC`` are the transforms of the direction A', conj(B')
-    and C', laid out like ``FA``, ``FBc`` and ``FC``.  Returns
-    (h1, h2, hw1, hw2) such that
-
-        G*((A - eta A')(B - eta B')^H) = h0 - eta h1 + eta^2 h2,
-        W*((C - eta C')(C - eta C')^H) = hw0 - eta hw1 + eta^2 hw2,
-
-    with (h0, hw0) = ``adjoints_from_transforms(FA, FBc, FC, n)``.  All four
-    share one batched inverse FFT, so each eta then costs O(B N).  When
-    ``FA is FBc`` and ``GA is GBc`` (A = conj B, the symmetric factor) the
-    two K-sums of h1 are one product, made once and doubled; the two of hw1
-    are conjugates, so hw1 is 2 Re of one K-sum.
-    """
-    if FA is FBc and GA is GBc:
-        h1 = _ksum(FA, GA)
-        h1 *= 2.0
-    else:
-        h1 = _ksum(FA, GBc) + _ksum(GA, FBc)
-    GCc = GC.conj()
-    hw1 = 2.0 * _ksum(FC, GCc).real
-    (h1, h2), (hw1, hw2) = _lift_adjoints(n, [h1, _ksum(GA, GBc)], [hw1, _ksum(GC, GCc)])
-    return h1, h2, hw1, hw2
+    out = np.concatenate([_ksum(FA, FBc), _ksum(FC, FC.conj())])
+    np.fft.ifft(out, axis=-1, out=out)
+    return _adjoint_rows("hankel", out[:len(FA)], n), _adjoint_rows("toeplitz", out[len(FA):], n)

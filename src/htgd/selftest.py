@@ -73,16 +73,17 @@ def _check_fast_paths(rng) -> CheckResult:
             pairs += [(h[0], ops.g_adjoint(Z @ B.conj().T)), (hw[0], ops.w_adjoint(Z @ Z.conj().T))]
             gb, wz = ops.lift_products_from_transforms(v[None], (FBc[None],), v[None], FZ[None])
             pairs += [(gb[0].T, ops.g_apply(v) @ B), (wz[0].T, ops.w_apply(v) @ Z)]
-            # and along a line: the same adjoints at (Z - eta Z')(B - eta B')^H
+            # and at a line-search trial, from the transforms F - eta F' the
+            # descent forms: the same adjoints at (Z - eta Z')(B - eta B')^H
             Zd = rng.standard_normal((n, K)) + 1j * rng.standard_normal((n, K))
             Bd = rng.standard_normal((n, K)) + 1j * rng.standard_normal((n, K))
             FZd, FBdc = ops.row_transforms(np.stack([Zd.T, Bd.conj().T]))
-            h1, h2, hw1, hw2 = ops.line_adjoints(FZ[None], FBc[None], FZ[None],
-                                                 FZd[None], FBdc[None], FZd[None], n)
             for eta in (0.3, 4.0):
+                Ft, FBct = FZ - eta * FZd, FBc - eta * FBdc
+                h, hw = ops.adjoints_from_transforms(Ft[None], FBct[None], Ft[None], n)
                 Ze, Be = Z - eta * Zd, B - eta * Bd
-                pairs += [(h[0] - eta * h1[0] + eta**2 * h2[0], ops.g_adjoint(Ze @ Be.conj().T)),
-                          (hw[0] - eta * hw1[0] + eta**2 * hw2[0], ops.w_adjoint(Ze @ Ze.conj().T))]
+                pairs += [(h[0], ops.g_adjoint(Ze @ Be.conj().T)),
+                          (hw[0], ops.w_adjoint(Ze @ Ze.conj().T))]
             for fast, dense in pairs:
                 worst = max(worst, float(np.linalg.norm(fast - dense) / np.linalg.norm(dense)))
     return CheckResult("FFT fast paths match dense lifts",

@@ -386,7 +386,8 @@ def random_state(module, rng, dims):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), module=st.sampled_from([mhtgd, chtgd]))
 def test_trial_objective_matches_direct_evaluation(data, module):
-    # a trial point of the line costs no FFT, yet evaluates like Z - eta G itself
+    # a trial point of the line forms its transforms from the line's, with no
+    # forward FFT, yet evaluates like Z - eta D itself
     N = data.draw(st.integers(3, 64), label="N")
     L = data.draw(st.integers(1, 4), label="L")
     n = (N + 1 - N % 2 + 1) // 2  # even N is embedded in length N + 1
@@ -403,10 +404,12 @@ def test_trial_objective_matches_direct_evaluation(data, module):
     assert isinstance(trial, Trial)
     direct = z - eta * line.direction
     np.testing.assert_array_equal(trial.z, direct)
-    want = module._objective_stacked(start(module, direct, obs), obs)
+    fresh = start(module, direct, obs)
+    want = module._objective_stacked(fresh, obs)
     assert abs(module._objective_stacked(trial, obs) - want) <= 1e-10 * want
-    F = module._transforms(direct)
-    assert np.linalg.norm(trial.transforms() - F) <= 1e-10 * np.linalg.norm(F)
+    for got, want in ((trial.F, fresh.F), (trial.h, fresh.h), (trial.hw, fresh.hw)):
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
     # the accepted trial's gradient, from carried transforms, is the fresh one
     g_carried, x_carried = grad_and_line(module, trial, obs)
     g_fresh, x_fresh = grad_and_line(module, start(module, direct, obs), obs)
@@ -505,10 +508,11 @@ def test_carried_transforms_do_not_drift_over_a_long_descent():
         res = armijo_step(state, line, f_curr, objective, eta)
         assert res.accepted and isinstance(res.state, Trial)
         state, f_curr, eta = res.state, res.value, res.eta
-    carried = state.transforms()
+    carried = state.F
     fresh = mhtgd._transforms(state.z)
     assert np.linalg.norm(carried - fresh) <= 1e-10 * np.linalg.norm(fresh)
-    # the lifts the gradients read are carried as far: no gradient makes its own
+    # the lifts the gradients read, made at each trial from the carried
+    # transforms, are as close to those of a fresh start point
     lifts = start(mhtgd, state.z, obs)
     for got, want in ((state.h, lifts.h), (state.hw, lifts.hw)):
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
@@ -517,12 +521,13 @@ def test_carried_transforms_do_not_drift_over_a_long_descent():
 @SOLVERS
 def test_solve_transforms_its_start_state_once(solver, is_ca, monkeypatch):
     # one transform for the start state, then one per gradient: the objective
-    # and the first gradient both read the start point's carried transforms;
-    # the lifts are made once, at the start point, and every later point
-    # carries the ones its line made
+    # and the first gradient both read the start point's carried transforms,
+    # and every trial forms its own from its line's; each point the objective
+    # evaluates, the start point and every trial, makes its lifts once
     module = chtgd if is_ca else mhtgd
     transforms, seen = module._transforms, []
     adjoints, lifted = ops.adjoints_from_transforms, []
+    objective, evaluated = module._objective_stacked, []
 
     def spy(z):
         seen.append(z.copy())
@@ -532,14 +537,19 @@ def test_solve_transforms_its_start_state_once(solver, is_ca, monkeypatch):
         lifted.append(args)
         return adjoints(*args)
 
+    def objective_spy(t, obs):
+        evaluated.append(t.z)
+        return objective(t, obs)
+
     monkeypatch.setattr(module, "_transforms", spy)
     monkeypatch.setattr(ops, "adjoints_from_transforms", lift_spy)
+    monkeypatch.setattr(module, "_objective_stacked", objective_spy)
     dims, sig, mask = scale_instance(is_ca)
     report = solver(apply_mask(sig, mask), mask, SolverConfig(seed=2))
     assert report.converged
     assert sum(np.array_equal(z, seen[0]) for z in seen) == 1
     assert len(seen) == 1 + (report.iterations + 1)
-    assert len(lifted) == 1
+    assert len(lifted) == len(evaluated) > report.iterations
 
 
 @pytest.mark.parametrize("module", [mhtgd, chtgd], ids=["mhtgd", "chtgd"])
@@ -551,17 +561,16 @@ def test_gradient_from_the_objectives_carry_is_the_fresh_gradient(module):
     module._objective_stacked(carried, obs)
     assert carried.carry
     fresh = start(module, z, obs)
-    for got, want in zip(module._gradient(carried, carried.F, obs)[:2],
-                         module._gradient(fresh, fresh.F, obs)[:2]):
+    for got, want in zip(module._gradient(carried, obs)[:2],
+                         module._gradient(fresh, obs)[:2]):
         np.testing.assert_array_equal(got, want)
     # the same at a line trial, against that trial without its carry
     line, _ = grad_and_line(module, carried, obs)
     trial = line.at(1e-3)
     module._objective_stacked(trial, obs)
     assert trial.carry
-    F = trial.transforms()
-    for got, want in zip(module._gradient(trial, F, obs)[:2],
-                         module._gradient(trial._replace(carry={}), F, obs)[:2]):
+    for got, want in zip(module._gradient(trial, obs)[:2],
+                         module._gradient(trial._replace(carry={}), obs)[:2]):
         np.testing.assert_array_equal(got, want)
 
 

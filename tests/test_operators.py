@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -282,59 +285,6 @@ def test_adjoints_from_transforms_matches_dense(pattern, n, K):
         assert np.max(np.abs(wu[l].T - want)) <= 1e-10 * np.max(np.abs(want))
 
 
-def line_kernel_args(pattern, rng, L, n, K):
-    """Random factors Z and direction D, and ``args(X)``: the kernel arguments
-    (FA, FBc, FC) of X in one solver's call pattern."""
-    P = ops.fft_length(n)
-
-    def fft(X):
-        return kfft(X, P)
-
-    if pattern == "mhtgd":  # (F2, F1c, F1): h_l = G*(z2_l z1_l^H), hw_l = W*(z1_l z1_l^H)
-        def args(Z):
-            return fft(Z[1]), fft(Z[0].conj()), fft(Z[0])
-        shape = (2, L, n, K)
-    else:  # (FZ, FZ, FZ[:1]): h_l = G*(z_l z_l^T), hw = W*(z_1 z_1^H)
-        def args(Z):
-            FZ = fft(Z)
-            return FZ, FZ, FZ[:1]
-        shape = (L, n, K)
-    return randc(rng, *shape), randc(rng, *shape), args
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), pattern=st.sampled_from(["mhtgd", "chtgd"]))
-def test_line_adjoints_match_fresh_transforms(data, pattern):
-    # h(eta) = h0 - eta h1 + eta^2 h2 equals the adjoints of fresh FFTs of Z - eta D
-    N = data.draw(st.integers(3, 64), label="N")  # odd or even signal length
-    n = (N + 1 - N % 2 + 1) // 2  # even N is embedded in length N + 1
-    L = data.draw(st.integers(1, 4), label="L")
-    K = data.draw(st.integers(1, n - 1), label="K")
-    eta = data.draw(st.floats(1e-6, 256.0), label="eta")
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    Z, D, args = line_kernel_args(pattern, rng, L, n, K)
-    h0, hw0 = ops.adjoints_from_transforms(*args(Z), n)
-    h1, h2, hw1, hw2 = ops.line_adjoints(*args(Z), *args(D), n)
-    want_h, want_hw = ops.adjoints_from_transforms(*args(Z - eta * D), n)
-    for got, want in ((h0 - eta * h1 + eta**2 * h2, want_h),
-                      (hw0 - eta * hw1 + eta**2 * hw2, want_hw)):
-        assert got.shape == want.shape
-        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
-
-
-@pytest.mark.parametrize("n,K", [(4, 1), (17, 3), (64, 6)])
-def test_line_adjoints_symmetric_shortcut_matches_the_general_path(n, K):
-    # chtgd passes FA is FBc and GA is GBc: h1 is one K-sum doubled; copies of
-    # the same transforms take the general path of two K-sums
-    rng = np.random.default_rng(n + K)
-    P = ops.fft_length(n)
-    FZ, GZ = kfft(randc(rng, 3, n, K), P), kfft(randc(rng, 3, n, K), P)
-    short = ops.line_adjoints(FZ, FZ, FZ[:1], GZ, GZ, GZ[:1], n)
-    general = ops.line_adjoints(FZ, FZ.copy(), FZ[:1], GZ, GZ.copy(), GZ[:1], n)
-    for got, want in zip(short, general):
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-
-
 @pytest.mark.parametrize("n", [5, 33])  # P = 9 and 66: an odd and an even length
 def test_conj_transforms_equal_a_direct_fft_of_the_conjugate(n):
     P = ops.fft_length(n)
@@ -358,6 +308,15 @@ def test_ksum_is_bit_identical_to_sum_for_short_axes():
                 running = running + A[:, k] * Bk[:, k]
             assert np.array_equal(ops._ksum(A, Bk), (A * Bk).sum(axis=-2))
             assert np.array_equal(ops._ksum(A, Bk), running)
+
+
+def test_every_fft_of_the_package_is_made_in_operators():
+    # the operators kernels make every FFT, so a count of their np.fft calls
+    # counts all of a solve's FFTs
+    src = Path(ops.__file__).parent
+    outside = [p.name for p in sorted(src.glob("*.py"))
+               if p.name != "operators.py" and re.search(r"\b(np|numpy)\.fft\b", p.read_text())]
+    assert outside == []
 
 
 def test_fast_paths_reject_bad_shapes():

@@ -39,14 +39,14 @@ def test_results_are_deterministic():
         [(r.name, r.passed, r.detail) for r in b]
 
 
-def test_corrupted_line_adjoints_fail_the_fast_path_check(monkeypatch):
-    real = ops.line_adjoints
+def test_corrupted_lift_adjoints_fail_the_fast_path_check(monkeypatch):
+    real = ops.adjoints_from_transforms
 
     def corrupted(*args):
-        h1, h2, hw1, hw2 = real(*args)
-        return h1, -h2, hw1, hw2  # wrong sign of the eta^2 term
+        h, hw = real(*args)
+        return h, np.roll(hw, 1, axis=-1)  # Toeplitz lags off by one
 
-    monkeypatch.setattr(ops, "line_adjoints", corrupted)
+    monkeypatch.setattr(ops, "adjoints_from_transforms", corrupted)
     fast = [r for r in run_selftest() if "fast paths" in r.name]
     assert len(fast) == 1 and not fast[0].passed
 
