@@ -63,7 +63,7 @@ from .descent import (
     start_point,
     weigh_observations,
 )
-from .lowrank import randomized_lift_svd, takagi_vectors
+from .lowrank import randomized_lift_svd, takagi_factors
 from .signals import MultichannelSignal, ProblemDims, SamplingMask
 
 __all__ = [
@@ -189,12 +189,13 @@ def spectral_init_ca(y: np.ndarray, mask: SamplingMask, dims: ProblemDims,
 
     The L channels go through ``lowrank.randomized_lift_svd`` as one
     (L, 1, N) batch, channel l drawing its probe from the seed (seed, l);
-    ``lowrank.takagi_vectors`` then turns each channel's SVD into Takagi
-    vectors U, and z_l = U S^(1/2).
+    ``lowrank.takagi_factors`` turns each channel's SVD U diag(s) V^H into
+    z_l with z_l z_l^T = U S U^T, the lift projected onto the SVD's range
+    from both sides.
     """
     yT = prepare_observed(y, mask, dims).yT
     U, s, V = randomized_lift_svd(yT[:, None, :] / dims.p, dims.K, seed)
-    return FactorSetC(z=takagi_vectors(U, s, V) * np.sqrt(s)[:, None, :])
+    return FactorSetC(z=takagi_factors(U, s, V))
 
 
 def solve_chtgd(observations: MultichannelSignal, mask: SamplingMask,

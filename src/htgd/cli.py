@@ -142,6 +142,10 @@ def cmd_solve(args) -> int:
         print(f"error: mask covers N={mask.N} but observed signal has N={N}", file=sys.stderr)
         return EXIT_USAGE
     dims = ProblemDims(N=N, L=L, K=args.K, M=mask.M)
+    if args.freqs and args.K >= (N + 1) // 2:  # ESPRIT's n on the odd prefix
+        print(f"error: --freqs needs K < {(N + 1) // 2} at N={N}, got K={args.K}",
+              file=sys.stderr)
+        return EXIT_USAGE
     observations = MultichannelSignal(data=data, dims=dims)
     truth = None
     if args.ground_truth is not None:

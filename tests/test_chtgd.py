@@ -12,7 +12,7 @@ from htgd.chtgd import (
     spectral_init_ca,
 )
 from htgd.descent import STOP_CONVERGED, SolverConfig, prepare_observed
-from htgd.lowrank import randomized_lift_svd, takagi_vectors
+from htgd.lowrank import randomized_lift_svd, takagi_factors
 from htgd.signals import (
     MultichannelSignal,
     ProblemDims,
@@ -101,8 +101,6 @@ def test_spectral_init_is_symmetric_best_rank_k():
                                    atol=1e-10 * max(s[0], 1.0))
 
 
-# random small lifts often have clustered tails (M = 1 gives rank one)
-@pytest.mark.filterwarnings("ignore:clustered singular values")
 @settings(max_examples=25, deadline=None)
 @given(data=st.data(), N=st.integers(3, 80), L=st.integers(1, 4), seed=st.integers(0, 2**31))
 def test_spectral_init_ca_channel_matches_a_single_seeded_call(data, N, L, seed):
@@ -115,7 +113,7 @@ def test_spectral_init_ca_channel_matches_a_single_seeded_call(data, N, L, seed)
     init = spectral_init_ca(y, mask, dims, seed=seed)
     for l in range(L):
         U, s, V = randomized_lift_svd(yT[l] / dims.p, K, seed=(seed, l))
-        np.testing.assert_array_equal(init.z[l], takagi_vectors(U, s, V) * np.sqrt(s))
+        np.testing.assert_array_equal(init.z[l], takagi_factors(U, s, V))
 
 
 def test_witness_is_stationary_global_minimum():
@@ -151,21 +149,19 @@ def test_solve_recovers_fully_observed_signal():
 
 def test_solve_recovers_a_signal_with_tied_singular_values():
     # unit amplitudes 5/17 apart: the n = 17 steering columns are orthogonal, so
-    # every channel's lift has two equal singular values and the init's Takagi
-    # vectors come from the clustered block's square root
+    # every channel's lift has two equal singular values, a tie the init's
+    # Takagi factorisation takes like any other
     dims = ProblemDims(N=33, L=2, K=2, M=33)
     model = SpectralModel(freqs=[0.1, 0.1 + 5 / 17], amps=np.ones((2, 2)),
                           phases=[[0.3, 1.1], [2.0, -0.7]], is_ca=True)
     sig = synthesize(model, dims)
     mask = SamplingMask(indices=np.arange(1, 34), N=33)
     y = ops.weight_vector(33).omega[:, None] * sig.data
-    with pytest.warns(UserWarning, match="clustered"):
-        init = spectral_init_ca(y, mask, dims)
+    init = spectral_init_ca(y, mask, dims)
     for l in range(2):
         lift = ops.g_apply(y[:, l])
         assert np.linalg.norm(init.z[l] @ init.z[l].T - lift) <= 1e-12 * np.linalg.norm(lift)
-    with pytest.warns(UserWarning, match="clustered"):
-        report = solve_chtgd(sig, mask, SolverConfig(), ground_truth=sig)
+    report = solve_chtgd(sig, mask, SolverConfig(), ground_truth=sig)
     assert report.converged and report.nmse <= 1e-20
 
 

@@ -256,6 +256,18 @@ def test_solve_mismatched_mask_is_usage_error(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+def test_solve_freqs_with_k_too_large_for_esprit_is_usage_error(tmp_path, capsys):
+    # even N = 34 admits K = 17 < n = 18, but ESPRIT on the odd prefix of 33
+    # samples needs K < 17: refused before the solve writes anything
+    out = synth_dir(tmp_path, N=34, M=30)
+    sol = tmp_path / "sol"
+    code = run_cli("solve", "--observed", out / "observed.csv", "--mask", out / "mask.json",
+                   "-K", 17, "--freqs", "--out", sol)
+    assert code == EXIT_USAGE
+    assert "K < 17" in capsys.readouterr().err
+    assert not sol.exists()
+
+
 def test_solve_model_without_freqs_is_usage_error(tmp_path, capsys):
     # refused before any input is read: the missing observed file is never opened
     out = synth_dir(tmp_path)

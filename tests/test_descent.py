@@ -469,7 +469,6 @@ def test_chtgd_direction_is_finite_for_a_zero_factor_column():
     assert np.all(line.direction[:, -1, :] == 0)
 
 
-@pytest.mark.filterwarnings("ignore:clustered singular values")  # the init's zero tail
 def test_chtgd_solves_with_k_above_the_true_order():
     # a fully observed K = 2 signal solved at K = 4: the init's extra columns are
     # near zero, so the Grams the direction inverts are nearly singular; with

@@ -4,12 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import htgd.operators as ops
-from htgd.lowrank import (
-    _symmetric_sqrt,
-    _takagi_phase_correct,
-    randomized_lift_svd,
-    takagi_vectors,
-)
+from htgd.lowrank import randomized_lift_svd, takagi_factors
 from htgd.signals import make_rng
 
 
@@ -20,11 +15,13 @@ def truncated_svd(M, K):
 
 
 def takagi_truncated(A, K):
-    """Dense oracle: rank-K Takagi factors (U (n, K), s (K,)) of a complex
-    symmetric A, phase-corrected from its full SVD, so A ~ U diag(s) U^T."""
-    U, s, Vh = np.linalg.svd(np.asarray(A, dtype=complex))
-    U, _ = _takagi_phase_correct(U, s, Vh.conj().T, K)
-    return U[:, :K], s[:K]
+    """Dense oracle: rank-K Takagi factors Z (n, K) of a complex symmetric A
+    from its leading-K SVD, so A ~ Z Z^T and Z^H Z = diag(Takagi values)."""
+    return takagi_factors(*truncated_svd(np.asarray(A, dtype=complex), K))
+
+
+def assert_diagonal(G, atol):
+    np.testing.assert_allclose(G - np.diag(np.diag(G)), 0.0, atol=atol)
 
 
 def weighted_sinusoid_mix(n, K, seed):
@@ -160,21 +157,20 @@ def test_randomized_path_stacks_channels():
 
 def test_takagi_real_diagonal():
     A = np.diag([3.0, 1.0]).astype(complex)
-    U, s = takagi_truncated(A, 2)
-    np.testing.assert_allclose(s, [3.0, 1.0])
-    np.testing.assert_allclose(U @ np.diag(s) @ U.T, A, atol=1e-12)
+    Z = takagi_truncated(A, 2)
+    np.testing.assert_allclose(Z.conj().T @ Z, np.diag([3.0, 1.0]), atol=1e-12)
+    np.testing.assert_allclose(Z @ Z.T, A, atol=1e-12)
 
 
-def test_takagi_clustered_pair_uses_block_and_warns():
+def test_takagi_clustered_pair_needs_no_special_case():
     # G(omega * [0, 1, 0]) = [[0, 1], [1, 0]]: two unit singular values
     A = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     v = ops.weight_vector(3).omega * np.array([0.0, 1.0, 0.0], dtype=complex)
     U, s, V = randomized_lift_svd(v, 2, seed=0)
-    with pytest.warns(UserWarning, match="clustered"):
-        U = takagi_vectors(U, s, V)
+    Z = takagi_factors(U, s, V)
     np.testing.assert_allclose(s, [1.0, 1.0])
-    np.testing.assert_allclose(U @ np.diag(s) @ U.T, A, atol=1e-10)
-    np.testing.assert_allclose(U.conj().T @ U, np.eye(2), atol=1e-10)
+    np.testing.assert_allclose(Z @ Z.T, A, atol=1e-10)
+    np.testing.assert_allclose(Z.conj().T @ Z, np.eye(2), atol=1e-10)
 
 
 def symmetric_block(kind, k, rng):
@@ -192,30 +188,41 @@ def symmetric_block(kind, k, rng):
     return (O * np.exp(1j * theta)) @ O.T
 
 
+def assert_takagi_factors_of_full_svd(B):
+    # with the full SVD, U S U^T is B itself: Z Z^T = B, and Z^H Z is diagonal
+    Z = takagi_truncated(B, len(B))
+    scale = np.linalg.norm(B)
+    assert np.linalg.norm(Z @ Z.T - B) <= 1e-12 * scale
+    assert_diagonal(Z.conj().T @ Z, atol=1e-12 * scale)
+
+
 @settings(max_examples=300, deadline=None)
 @given(kind=st.sampled_from(["repeated", "minus_one", "general"]), k=st.integers(2, 6),
        seed=st.integers(0, 2**32 - 1))
-def test_symmetric_sqrt_is_a_symmetric_root(kind, k, seed):
-    B = symmetric_block(kind, k, make_rng(seed))
-    W = _symmetric_sqrt(B)
-    assert np.max(np.abs(W @ W - B)) <= 1e-12 * max(1.0, np.max(np.abs(B)))
-    assert np.max(np.abs(W - W.T)) <= 1e-13
+def test_takagi_factors_of_a_symmetric_block(kind, k, seed):
+    assert_takagi_factors_of_full_svd(symmetric_block(kind, k, make_rng(seed)))
 
 
 @pytest.mark.parametrize("u", [[1.0, 1.0j], [3.0, 4.0j], [1.0, 1.0, 2**0.5 * 1j]],
                          ids=["nilpotent", "rank1", "nilpotent3"])
-def test_singular_block_keeps_the_svd_vectors(u):
-    # B = u u^T is singular, and the iteration, which inverts, finds no root
-    # (none exists when u^T u = 0): the cluster keeps its SVD vectors
+def test_takagi_factors_of_a_singular_block(u):
+    # B = u u^T is singular, and nilpotent when u^T u = 0: a matrix with no
+    # square root at all still has its Takagi factors
     u = np.array(u)
-    B = np.outer(u, u)
-    assert _symmetric_sqrt(B) is None
-    k = len(u)
-    U = np.eye(k + 1, k, dtype=complex)
-    V = (U @ B).conj()  # so that U^H conj(V) = B
-    out, used = _takagi_phase_correct(U, np.ones(k), V, k)
-    assert used and np.all(np.isfinite(out))
-    np.testing.assert_array_equal(out, U)
+    assert_takagi_factors_of_full_svd(np.outer(u, u))
+
+
+def test_takagi_factors_are_the_two_sided_projection():
+    # full-rank lifts: the truncated SVD's U and V are not exact conjugates,
+    # so S = U^H A conj(U) is not diagonal, and Z Z^T must still be U S U^T
+    N, K = 63, 4
+    for seed in range(20):
+        rng = make_rng(seed)
+        v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+        U, s, V = randomized_lift_svd(v, K, seed=0)
+        target = U @ (s[:, None] * (V.conj().T @ U.conj())) @ U.T
+        Z = takagi_factors(U, s, V)
+        assert np.linalg.norm(Z @ Z.T - target) <= 1e-12 * np.linalg.norm(target)
 
 
 @pytest.mark.parametrize("n,K", [(6, 2), (11, 4)])
@@ -223,21 +230,21 @@ def test_takagi_random_symmetric(n, K):
     rng = make_rng(n * 100 + K)
     B = rng.standard_normal((n, K)) + 1j * rng.standard_normal((n, K))
     A = B @ B.T  # complex symmetric, rank K
-    U, s = takagi_truncated(A, K)
-    np.testing.assert_allclose(U @ np.diag(s) @ U.T, A, atol=1e-10 * np.linalg.norm(A))
-    np.testing.assert_allclose(U.conj().T @ U, np.eye(K), atol=1e-10)
-    assert np.all(np.diff(s) <= 1e-12)
+    Z = takagi_truncated(A, K)
+    np.testing.assert_allclose(Z @ Z.T, A, atol=1e-10 * np.linalg.norm(A))
+    G = Z.conj().T @ Z
+    assert_diagonal(G, atol=1e-10 * np.linalg.norm(A))
+    assert np.all(np.diff(np.diag(G).real) <= 1e-12)
 
 
 def test_takagi_zero_matrix():
-    U, s = takagi_truncated(np.zeros((4, 4), dtype=complex), 2)
-    np.testing.assert_array_equal(s, 0.0)
-    assert np.all(np.isfinite(U))
+    Z = takagi_truncated(np.zeros((4, 4), dtype=complex), 2)
+    np.testing.assert_array_equal(Z, 0.0)
 
 
 @pytest.mark.parametrize("K", [1, 2])
 def test_takagi_lift_reconstructs_sinusoid_lift(K):
     v = weighted_sinusoid_mix(20, K, seed=3)
     U, s, V = randomized_lift_svd(v, K, seed=0)
-    U = takagi_vectors(U, s, V)
-    np.testing.assert_allclose(U @ np.diag(s) @ U.T, ops.g_apply(v), atol=1e-8 * s[0])
+    Z = takagi_factors(U, s, V)
+    np.testing.assert_allclose(Z @ Z.T, ops.g_apply(v), atol=1e-8 * s[0])
