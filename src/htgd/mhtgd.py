@@ -192,7 +192,7 @@ def _gradient(t: Trial, obs: Observed):
 
 
 class LbfgsDirection:
-    """One solve's L-BFGS direction, in compact form.
+    """One solve's L-BFGS direction.
 
     Called once per accepted iterate, in order, in place of
     :func:`_gradient`: ``direction(t, obs)`` returns (G, D, UNIT_TRIAL)
@@ -208,20 +208,11 @@ class LbfgsDirection:
     complex arrays: the (2 MEMORY, 2 size) ``rows`` of one preallocated
     array of 2 MEMORY + 3 rows, s rows then y rows, filled in place in ring
     order, with their products ``rows @ rows.T`` updated a pair at a time.
-    A direction then reads the rows twice, once for their products with g,
-    s and y, once for D (Byrd, Nocedal & Schnabel, Math. Prog. 63, 1994,
-    section 4):
-
-        H g = gamma g + S p - gamma Y q,   q = R^{-1} S^T g,
-        p = R^{-T} ((Dg + gamma Y^T Y) q - gamma Y^T g),
-
-    R the upper triangle of S^T Y and Dg its diagonal, oldest pair first.
-    With k <= MEMORY pairs these are k x k systems, which the direction
-    solves in float arithmetic on the Gram's entries, by substitution
-    (:func:`_solve_upper`): numpy's dispatch of one LAPACK solve took
-    longer than the whole substitution.  The diagonal of S^T Y holds the
-    curvature each pair was kept for, so the substitution divides by
-    positive numbers only.
+    A direction reads the rows twice, once for their products with g, s
+    and y, once for D.  Between the two, the two-loop recursion (Nocedal &
+    Wright, *Numerical Optimization*, Alg. 7.4) runs in float arithmetic on
+    the coefficients of D over the rows and g, its inner products read off
+    the Gram: numpy's dispatch cost more than this k x k algebra.
     """
 
     def __init__(self, size: int):
@@ -276,7 +267,7 @@ class LbfgsDirection:
                 prods += rows[:, c:c + _BLOCK] @ work[:, c:c + _BLOCK].T
             gram[i], gram[m + i] = prods[:, 1], prods[:, 2]
             gram[:, i], gram[:, m + i] = prods[:, 1], prods[:, 2]
-            gram[i, m + i] = gram[m + i, i] = curvature  # R's diagonal: positive
+            gram[i, m + i] = gram[m + i, i] = curvature  # the divisor of the recursion: positive
             wg = prods[:, 0]
             self._next, self._count = (i + 1) % m, min(self._count + 1, m)
         elif self._count:
@@ -286,36 +277,25 @@ class LbfgsDirection:
             return None
         G, w = gram.tolist(), wg.tolist()
         slots = [(self._next - k + a) % m for a in range(k)]  # oldest pair first
-        sy = [[G[a][m + b] for b in slots] for a in slots]  # S^T Y: R is its upper triangle
-        yy = [[G[m + a][m + b] for b in slots] for a in slots]
+        live = slots + [m + a for a in slots]
+
+        def dot(a, c):  # row a times the vector c @ buf[:2m+1], read off the Gram
+            acc = c[2 * m] * w[a]
+            for b in live:
+                acc += c[b] * G[a][b]
+            return acc
+
+        coef = [0.0] * (2 * m) + [1.0]  # g itself
+        alphas = []
+        for a in reversed(slots):  # newest pair first
+            alphas.append(dot(a, coef) / G[a][m + a])
+            coef[m + a] -= alphas[-1]
         j = slots[-1]
         gamma = float(gram[j, m + j] / gram[m + j, m + j])  # a zero ||y||^2 gives inf: a reset
-        q = _solve_upper(sy, [w[a] for a in slots])
-        rhs = []
-        for a in range(k):
-            yq = 0.0
-            for b in range(k):
-                yq += yy[a][b] * q[b]
-            rhs.append(sy[a][a] * q[a] + gamma * (yq - w[m + slots[a]]))
-        p = _solve_upper(sy, rhs, transposed=True)
-        coef = [0.0] * (2 * m + 1)
-        for a, slot in enumerate(slots):
-            coef[slot], coef[m + slot] = p[a], -gamma * q[a]
-        coef[2 * m] = gamma
+        coef = [gamma * c for c in coef]
+        for a, alpha in zip(slots, reversed(alphas)):
+            coef[a] += alpha - dot(m + a, coef) / G[a][m + a]
         return np.array(coef) @ self._buf[:2 * m + 1]
-
-
-def _solve_upper(R, b, transposed=False):
-    """x with R x = b, or R^T x = b when ``transposed``, for the upper-triangular
-    k x k ``R`` as nested lists of floats, by substitution."""
-    k = len(b)
-    x = [0.0] * k
-    for a in (range(k) if transposed else reversed(range(k))):
-        acc = b[a]
-        for c in (range(a) if transposed else range(a + 1, k)):
-            acc -= (R[c][a] if transposed else R[a][c]) * x[c]
-        x[a] = acc / R[a][a]
-    return x
 
 
 def objective_f(factors: FactorSetM, y: np.ndarray, mask: SamplingMask,

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import time
 
@@ -645,6 +646,45 @@ def test_edge_cases_end_with_a_stop_reason(solver, is_ca, case):
     assert time.perf_counter() - t0 < 20.0
     assert report.stop_reason in STOP_REASONS
     assert report.x_hat.shape == (N, L) and np.all(np.isfinite(report.x_hat))
+
+
+ROBUST_DIMS = ProblemDims(N=65, L=3, K=3, M=40)
+
+
+def robustness_solve(solver, sig, data):
+    mask = sample_mask(ROBUST_DIMS, seed=(3, 1))
+    t0 = time.perf_counter()
+    report = solver(apply_mask(MultichannelSignal(data=data, dims=ROBUST_DIMS), mask), mask,
+                    SolverConfig(max_iter=300, seed=1), ground_truth=sig)
+    assert time.perf_counter() - t0 < 20.0
+    assert report.stop_reason in STOP_REASONS
+    assert np.all(np.isfinite(report.x_hat))
+    return report
+
+
+@SOLVERS
+@pytest.mark.parametrize("snr_db", [20.0, 0.0])
+def test_noisy_observations_are_recovered_to_the_noise_level(solver, is_ca, snr_db):
+    # complex Gaussian noise on every sample, of power mean|x|^2 / 10^(SNR/10)
+    sig = synthesize(random_model(ROBUST_DIMS, min_sep=1.5 / 65, is_ca=is_ca, seed=3),
+                     ROBUST_DIMS)
+    rng = np.random.default_rng(5)
+    sigma = np.sqrt(np.mean(np.abs(sig.data) ** 2) / 10.0 ** (snr_db / 10.0) / 2.0)
+    noise = sigma * (rng.standard_normal(sig.data.shape) + 1j * rng.standard_normal(sig.data.shape))
+    report = robustness_solve(solver, sig, sig.data + noise)
+    assert report.nmse <= 10.0 ** (-snr_db / 10.0)
+
+
+@SOLVERS
+def test_a_pair_closer_than_the_rayleigh_limit_is_recovered(solver, is_ca):
+    # the second frequency a quarter of 1/N from the first: random_model's
+    # min_sep only bounds the gaps from below, and seed 3 draws them 5/N apart
+    model = random_model(ROBUST_DIMS, is_ca=is_ca, seed=3)
+    freqs = model.freqs.copy()
+    freqs[1] = freqs[0] + 0.25 / 65
+    sig = synthesize(dataclasses.replace(model, freqs=freqs), ROBUST_DIMS)
+    report = robustness_solve(solver, sig, sig.data)
+    assert report.nmse <= 1e-4
 
 
 @SOLVERS

@@ -287,19 +287,6 @@ def test_lbfgs_direction_equals_the_two_loop_recursion(iterates):
         prev = (z, G)
 
 
-@pytest.mark.parametrize("k", range(1, MEMORY + 1))
-def test_upper_triangular_solve_matches_lapack(k):
-    rng = np.random.default_rng(k)
-    # a unit-scale diagonal above the off-diagonal sums keeps R well conditioned
-    R = np.triu(rng.uniform(-1.0, 1.0, (k, k)), 1) / k + np.diag(rng.uniform(1.0, 3.0, k))
-    R *= 10.0 ** rng.uniform(-3, 3)
-    b = rng.standard_normal(k)
-    for transposed, A in ((False, R), (True, R.T)):
-        got = np.array(mhtgd._solve_upper(R.tolist(), b.tolist(), transposed))
-        want = np.linalg.solve(A, b)
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-
-
 def test_lbfgs_direction_skips_a_pair_without_positive_curvature():
     shape = (1, 4, 2)
     grad, point = convex_quadratic(shape, seed=3)
@@ -347,6 +334,31 @@ def test_lbfgs_direction_resets_to_the_gradient_when_not_a_descent():
     G2 = grad(z2)
     D, first = direction.step(z2, G2)
     assert D is G2 and first is None  # inf in y: skipped
+
+
+def test_lbfgs_direction_after_a_reset_equals_the_two_loop_recursion():
+    # the reset leaves the ring mid-way, so the pairs kept after it fill the
+    # ring from ``_next``, not from slot 0, and wrap past its end
+    shape = (1, 4, 2)
+    grad, point = convex_quadratic(shape, seed=5)
+    direction = LbfgsDirection(8)
+    for _ in range(3):
+        z = point()
+        direction.step(z, grad(z))
+    zero = np.zeros(shape, dtype=complex)
+    prev = (point(), zero)
+    D, first = direction.step(*prev)
+    assert D is zero and first is None
+    pairs = []
+    for _ in range(MEMORY + 2):
+        z = point()
+        G = grad(z)
+        D, first = direction.step(z, G)
+        pairs = (pairs + [(real(z) - real(prev[0]), real(G) - real(prev[1]))])[-MEMORY:]
+        want = two_loop(real(G), pairs)
+        assert np.linalg.norm(real(D) - want) <= 1e-12 * np.linalg.norm(want)
+        assert first == UNIT_TRIAL
+        prev = (z, G)
 
 
 def test_solve_starts_with_the_plain_gradient_then_takes_lbfgs_lines(monkeypatch):
