@@ -70,8 +70,16 @@ def _check_scan(spec, positive: tuple) -> None:
     check_int("seed", spec.seed, 0)
 
 
+def _check_not_bool(name: str, value) -> None:
+    """``ValueError`` naming ``name`` when ``value`` is a bool: JSON true and
+    false would otherwise pass as 1 and 0."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def _check_min_sep(mult: float, K: int, N: int) -> None:
     """The condition of ``signals.random_model`` on min_sep = mult / N, for K."""
+    _check_not_bool("min_sep_mult", mult)
     if not mult >= 0:  # NaN too
         raise ValueError(f"min_sep_mult must be >= 0, got {mult}")
     if K >= 2 and K * (mult / N) >= 1.0:
@@ -99,6 +107,8 @@ class PhaseGridSpec:
         object.__setattr__(self, "k_values", tuple(check_int("k_values", k, 1)
                                                    for k in self.k_values))
         _check_scan(self, ("N", "L", "trials"))
+        if not isinstance(self.is_ca, bool):
+            raise ValueError(f"is_ca must be true or false, got {self.is_ca!r}")
         if not self.m_values or not self.k_values:
             raise ValueError("m_values and k_values must be nonempty")
         n = ProblemDims(N=self.N, L=self.L, K=1, M=1).n
@@ -132,6 +142,7 @@ class TimingSpec:
         _check_scan(self, ("L", "K", "trials"))
         if not self.n_values:
             raise ValueError("n_values must be nonempty")
+        _check_not_bool("time_cap", self.time_cap)
         if not self.time_cap > 0:  # NaN too
             raise ValueError(f"time_cap must be positive, got {self.time_cap}")
         for N in self.n_values:

@@ -60,12 +60,12 @@ def randomized_lift_svd(v: np.ndarray, K: int, seed) -> tuple:
     r = min(n, K + _OVERSAMPLE)
 
     def blocks(X):  # [M_l X_l]_l for X (..., L, n, c), or [M_l X]_l for X (..., 1, n, c)
-        return ops.fast_lift_mul("hankel", v, X)
+        return ops.fast_lift_mul(v, X)
 
     vc = v.conj()
 
     def adjoint(Q):  # E^H Q = [G(conj v_l) Q]_l, stacked (..., nL, c)
-        return ops.fast_lift_mul("hankel", vc, Q[..., None, :, :]).reshape(batch + (L * n, -1))
+        return ops.fast_lift_mul(vc, Q[..., None, :, :]).reshape(batch + (L * n, -1))
 
     words = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
     probe = np.empty(batch + (L, n, r), dtype=complex)

@@ -16,28 +16,27 @@ are isometries (G*G = W*W = I), which makes G G* and W W* the orthogonal
 projectors onto Hankel- and Toeplitz-structured matrices in the lifted
 geometry.
 
-Products (G v) Z, (W v) Z and adjoints G*(A B^H), W*(A B^H) run as
+Products (G v) Z, (W v) Z and adjoints G*(A B^H), W*(C C^H) run as
 cyclic convolutions of length ``fft_length(n)`` (the smallest 11-smooth
 length >= 2n - 1, the shortest that is alias-free and fast) in
 O(K N log N) time, never materialising an n x n matrix.
 
-The kernels read factors K-major: an n x K factor Z is held as Z^T,
-(..., K, n), so each of its K columns is a contiguous row.  Every FFT then
-runs along the contiguous last axis, giving (..., K, P) transforms, and
-every sum over the K columns is one reduction over axis -2.  Every FFT of
-the package is made by the kernels here: ``row_transforms`` (factor
-transforms; ``conj_transforms`` derives those of conj(Z) from them by
-frequency reversal, with no FFT), ``lift_products_from_transforms`` and
-``adjoints_from_transforms`` (products and adjoints from transforms the
-caller already holds, as both solvers run them; every point of a descent,
-start point and line-search trial alike, makes its lifts through
-``adjoints_from_transforms``).  ``fast_lift_mul`` and
-``fast_adjoint_lowrank`` take and return the (..., n, K) layout and
-compose ``row_transforms`` with the same kernel code; ``fast_lift_mul``
-takes a Hankel product as a convolution with the row-flipped factor, so
-it conjugates nothing.  The dense lifts are the reference implementations
-used by tests and the self-test command.  ``top_exponent`` and ``ldexp``
-scale by powers of two.
+Each lift operation has one FFT entry point.  The kernels the solvers run
+read factors K-major: an n x K factor Z is held as Z^T, (..., K, n), so
+each of its K columns is a contiguous row.  Every FFT then runs along the
+contiguous last axis, giving (..., K, P) transforms, and every sum over
+the K columns is one reduction over axis -2.  ``row_transforms`` makes the
+factor transforms (``conj_transforms`` derives those of conj(Z) from them
+by frequency reversal, with no FFT); ``lift_products_from_transforms``
+and ``adjoints_from_transforms`` make the products and adjoints from
+transforms the caller already holds (every point of a descent, start
+point and line-search trial alike, makes its lifts through
+``adjoints_from_transforms``).  ``fast_lift_mul`` is the randomized range
+finder's Hankel product (G v) Z in the (..., n, K) layout, a convolution
+with the row-flipped factor, so it conjugates nothing.  Every FFT of the
+package is made by these four.  The dense lifts are the reference
+implementations used by tests and the self-test command.  ``top_exponent``
+and ``ldexp`` scale by powers of two.
 """
 
 from __future__ import annotations
@@ -191,21 +190,21 @@ def w_adjoint(M: np.ndarray) -> np.ndarray:
 
 # ---------- FFT fast paths ----------
 #
-# The ``fast_*`` routines accept leading batch axes (v is (..., N), factor
-# matrices are (..., n, K), batch shapes broadcast exactly).  The
-# transform-level kernels read factors K-major: a factor Z (n x K) is held
-# as Z^T, (..., K, n), so its K columns are rows of contiguous memory, every
-# FFT runs along the last axis and every sum over the K columns is one
-# reduction over axis -2.  Their transforms are (..., K, P), with one batch
-# axis B in front.
-
-_KINDS = ("hankel", "toeplitz")
-
-
-def _check_kind(kind: str) -> str:
-    if kind not in _KINDS:
-        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
-    return kind
+# One entry point per operation.  ``fast_lift_mul`` accepts leading batch
+# axes (v is (..., N), Z is (..., n, K), batch shapes broadcast exactly).
+# The transform-level kernels read factors K-major: a factor Z (n x K) is
+# held as Z^T, (..., K, n), so its K columns are rows of contiguous memory,
+# every FFT runs along the last axis and every sum over the K columns is
+# one reduction over axis -2.  Their transforms are (..., K, P), with one
+# batch axis B in front.
+#
+# In a cyclic product of length P, row j of (G v) Z, sum_k u[j + k] Z[k, :],
+# is a correlation and sits at entry j; row j of (W v) Z,
+# sum_k u[n - 1 + j - k] Z[k, :], is a convolution and sits at entry
+# n - 1 + j.  The skew-diagonal sums of A B^H (Hankel lags) are the first
+# N entries of a convolution; the diagonal sums of C C^H (Toeplitz lags)
+# are a correlation at lags m - (n - 1): the last n - 1 entries (the
+# negative lags), then the first n.
 
 
 def row_transforms(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -224,80 +223,24 @@ def conj_transforms(F: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _vector_transforms(v: np.ndarray, P: int) -> np.ndarray:
-    """FFT of v / omega at length P, (..., 1, P) to broadcast over the K rows."""
-    return np.fft.fft(v / weight_vector(v.shape[-1]).omega, n=P, axis=-1)[..., None, :]
-
-
-def _product_rows(kind: str, out: np.ndarray, n: int) -> np.ndarray:
-    """The rows of the cyclic product ``out`` (..., K, P) that are (lift v) Z, (..., K, n)."""
-    # row j of (G v) Z is sum_k u[j + k] Z[k, :], a correlation; row j of
-    # (W v) Z is sum_k u[n - 1 + j - k] Z[k, :], a convolution
-    return out[..., :n] if kind == "hankel" else out[..., n - 1:2 * n - 1]
-
-
-def _k_major(Z: np.ndarray) -> np.ndarray:
-    """The factor ``Z`` (..., n, K) as the contiguous K-major Z^T, (..., K, n):
-    numpy lays an FFT's output out like its input, so the transforms are
-    contiguous too."""
-    return np.ascontiguousarray(Z.swapaxes(-2, -1))
-
-
-def fast_lift_mul(kind: str, v: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Product (G v) Z for kind="hankel" or (W v) Z for kind="toeplitz".
+def fast_lift_mul(v: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Product (G v) Z, the randomized range finder's lift product.
 
     ``v`` is (..., 2n - 1) and ``Z`` (..., n, K); the result is (..., n, K),
-    equal to ``g_apply(v) @ Z`` resp. ``w_apply(v) @ Z`` up to roundoff, at
-    O(K N log N) cost.  Both are convolutions read like (W v) Z: row j of
-    (G v) Z, sum_k u[j + k] Z[k, :], is sum_k u[n - 1 + j - k] Zf[k, :] for
-    the row-flipped factor Zf[k] = Z[n - 1 - k], so no array is conjugated.
+    equal to ``g_apply(v) @ Z`` up to roundoff, at O(K N log N) cost.  It is
+    read as a convolution like (W v) Z: row j, sum_k u[j + k] Z[k, :], is
+    sum_k u[n - 1 + j - k] Zf[k, :] for the row-flipped factor
+    Zf[k] = Z[n - 1 - k], so no array is conjugated.
     """
-    kind = _check_kind(kind)
     v, Z = np.asarray(v), np.asarray(Z)
     n = Z.shape[-2]
     if v.shape[-1] != 2 * n - 1:
         raise ValueError(f"vector length {v.shape[-1]} does not match factor rows {n}")
-    Zt = _k_major(Z)
-    FZ = row_transforms(Zt[..., ::-1] if kind == "hankel" else Zt)
-    prod = _vector_transforms(v, FZ.shape[-1]) * FZ
-    return _product_rows("toeplitz", np.fft.ifft(prod, axis=-1, out=prod), n).swapaxes(-2, -1)
-
-
-def _adjoint_rows(kind: str, out: np.ndarray, n: int) -> np.ndarray:
-    """G*(A B^H) for kind="hankel" or W*(A B^H) for kind="toeplitz", (..., 2n - 1),
-    from ``out`` (..., P), the inverse FFT of a K-summed transform product:
-    sum_k FA * FBc for a Hankel adjoint, sum_k FA * conj(FB) for a Toeplitz one."""
-    N = 2 * n - 1
-    w = weight_vector(N).omega
-    # skew-diagonal sums of A B^H are the first N entries of the
-    # convolution; diagonal sums the correlation at lags m - (n - 1): the
-    # last n - 1 entries (the negative lags), then the first n
-    if kind == "hankel":
-        return out[..., :N] / w
-    hw = np.empty(out.shape[:-1] + (N,), dtype=complex)
-    np.divide(out[..., out.shape[-1] - (n - 1):], w[:n - 1], out=hw[..., :n - 1])
-    np.divide(out[..., :n], w[n - 1:], out=hw[..., n - 1:])
-    return hw
-
-
-def fast_adjoint_lowrank(kind: str, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """G*(A B^H) for kind="hankel" or W*(A B^H) for kind="toeplitz".
-
-    ``A`` and ``B`` are (..., n, K); the result is a (..., 2n - 1) vector
-    equal to ``g_adjoint(A @ B.conj().T)`` resp. ``w_adjoint(...)`` up to
-    roundoff, computed in O(K N log N) without forming A B^H.
-    """
-    kind = _check_kind(kind)
-    A, B = np.asarray(A), np.asarray(B)
-    n = A.shape[-2]
-    if B.shape[-2] != n or A.shape[-1] != B.shape[-1]:
-        raise ValueError(f"factor shapes {A.shape} and {B.shape} do not match")
-    FA = row_transforms(_k_major(A))
-    if kind == "hankel":
-        s = _ksum(FA, row_transforms(_k_major(B.conj())))
-    else:
-        s = _ksum(FA, (FA if B is A else row_transforms(_k_major(B))).conj())
-    return _adjoint_rows(kind, np.fft.ifft(s, axis=-1, out=s), n)
+    # Z K-major and contiguous: numpy lays an FFT's output out like its
+    # input, so the transforms are contiguous too
+    FZ = row_transforms(np.ascontiguousarray(Z.swapaxes(-2, -1))[..., ::-1])
+    prod = np.fft.fft(v / weight_vector(v.shape[-1]).omega, n=FZ.shape[-1], axis=-1)[..., None, :] * FZ
+    return np.fft.ifft(prod, axis=-1, out=prod)[..., n - 1:2 * n - 1].swapaxes(-2, -1)
 
 
 def _ksum(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -337,7 +280,7 @@ def lift_products_from_transforms(v: np.ndarray, FZcs: tuple, u: np.ndarray,
     np.multiply(Fu, FC, out=toeplitz)
     np.fft.ifft(out, axis=-1, out=out)
     n = (N + 1) // 2
-    return (*(_product_rows("hankel", h, n) for h in hankel), _product_rows("toeplitz", toeplitz, n))
+    return (*(h[..., :n] for h in hankel), toeplitz[..., n - 1:2 * n - 1])
 
 
 def adjoints_from_transforms(FA: np.ndarray, FBc: np.ndarray, FC: np.ndarray,
@@ -351,4 +294,10 @@ def adjoints_from_transforms(FA: np.ndarray, FBc: np.ndarray, FC: np.ndarray,
     """
     out = np.concatenate([_ksum(FA, FBc), _ksum(FC, FC.conj())])
     np.fft.ifft(out, axis=-1, out=out)
-    return _adjoint_rows("hankel", out[:len(FA)], n), _adjoint_rows("toeplitz", out[len(FA):], n)
+    N, P = 2 * n - 1, out.shape[-1]
+    w = weight_vector(N).omega
+    c = out[len(FA):]
+    hw = np.empty(c.shape[:-1] + (N,), dtype=complex)
+    np.divide(c[..., P - (n - 1):], w[:n - 1], out=hw[..., :n - 1])
+    np.divide(c[..., :n], w[n - 1:], out=hw[..., n - 1:])
+    return out[:len(FA), ..., :N] / w, hw

@@ -9,6 +9,7 @@ import numpy as np
 from . import operators as ops
 from .errors import NumericalError, RankDeficientError
 from .lowrank import randomized_lift_svd
+from .signals import check_int
 
 _RANK_RTOL = 1e-12
 
@@ -53,7 +54,8 @@ def esprit(x, K: int) -> FrequencyEstimate:
         data = data[:-1]  # odd prefix carries the same sinusoids
     N = data.shape[0]
     n = (N + 1) // 2
-    if not 1 <= K < n:
+    K = check_int("K", K, 1)
+    if not K < n:
         raise ValueError(f"need 1 <= K < n={n}, got K={K}")
     if not np.all(np.isfinite(data)):
         raise NumericalError("signal contains NaN or inf; cannot estimate frequencies")

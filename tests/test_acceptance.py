@@ -76,6 +76,9 @@ def test_criterion_1_operator_identities():
 
 
 def test_criterion_2_fast_path_equivalence():
+    # the FFT entry point of each lift operation against its dense oracle: the
+    # range finder's fast_lift_mul, and the kernels every solve runs on
+    # K-major transforms, (G v) A and (W v) A, then G*(A B^H) and W*(A A^H)
     start = time.perf_counter()
     rng = make_rng(MASTER_SEED + 1)
     for n in (64, 256):
@@ -85,16 +88,16 @@ def test_criterion_2_fast_path_equivalence():
                 v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
                 A = rng.standard_normal((n, K)) + 1j * rng.standard_normal((n, K))
                 B = rng.standard_normal((n, K)) + 1j * rng.standard_normal((n, K))
-                for kind, lift, adj in (("hankel", ops.g_apply, ops.g_adjoint),
-                                        ("toeplitz", ops.w_apply, ops.w_adjoint)):
-                    dense_mul = lift(v) @ A
-                    fast_mul = ops.fast_lift_mul(kind, v, A)
-                    assert (np.linalg.norm(fast_mul - dense_mul)
-                            <= 1e-10 * np.linalg.norm(dense_mul))
-                    dense_adj = adj(A @ B.conj().T)
-                    fast_adj = ops.fast_adjoint_lowrank(kind, A, B)
-                    assert (np.linalg.norm(fast_adj - dense_adj)
-                            <= 1e-10 * np.linalg.norm(dense_adj))
+                FA, FAc, FBc = ops.row_transforms(np.stack([A.T, A.conj().T, B.conj().T]))
+                gv, wv = ops.lift_products_from_transforms(v[None], (FAc[None],), v[None], FA[None])
+                h, hw = ops.adjoints_from_transforms(FA[None], FBc[None], FA[None], n)
+                gv_dense = ops.g_apply(v) @ A
+                for fast, dense in ((ops.fast_lift_mul(v, A), gv_dense),
+                                    (gv[0].T, gv_dense),
+                                    (wv[0].T, ops.w_apply(v) @ A),
+                                    (h[0], ops.g_adjoint(A @ B.conj().T)),
+                                    (hw[0], ops.w_adjoint(A @ A.conj().T))):
+                    assert np.linalg.norm(fast - dense) <= 1e-10 * np.linalg.norm(dense)
     assert time.perf_counter() - start < 10.0
 
 

@@ -352,6 +352,25 @@ def test_experiment_invalid_spec_values(tmp_path, capsys):
     assert not (tmp_path / "new").exists()  # a spec that fails to load creates nothing
 
 
+@pytest.mark.parametrize("kind,spec,field", [
+    ("phase", {"is_ca": "false"}, "is_ca"),
+    ("phase", {"is_ca": 0}, "is_ca"),
+    ("phase", {"min_sep_mult": True}, "min_sep_mult"),
+    ("timing", {"min_sep_mult": True}, "min_sep_mult"),
+    ("timing", {"time_cap": True}, "time_cap")])
+def test_experiment_non_bool_flag_or_bool_number_is_usage_error(tmp_path, capsys, kind, spec,
+                                                                field):
+    # a JSON string or number is no is_ca flag, and true is no float
+    base = ({"N": 33, "L": 2, "m_values": [33], "k_values": [1], "trials": 1} if kind == "phase"
+            else {"n_values": [63], "L": 2, "K": 2, "trials": 1})
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**base, **spec}))
+    code = run_cli("experiment", kind, "--spec", path, "--out", tmp_path / "x.csv")
+    assert code == EXIT_USAGE
+    assert f"{field} must be" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("kind,spec", [
     ("phase", {"N": 33, "L": 2, "m_values": [33], "k_values": [1], "trials": 2.5}),
     ("timing", {"n_values": [63], "L": 2, "K": 2, "trials": 2.5})])

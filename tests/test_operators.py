@@ -151,69 +151,77 @@ def test_fft_length():
         [1, 5, 11, 27, 66, 256, 2048, 4096]
 
 
-@pytest.mark.parametrize("n", [3, 6, 14])  # P = 2n - 1 = 5, 11, 27: odd, and no room to spare
-def test_fast_paths_match_dense_at_odd_lengths(n):
-    assert ops.fft_length(n) == 2 * n - 1
-    rng = np.random.default_rng(n)
+def kfft(X, P):
+    """The K-major row transforms the kernels read: X (..., n, K) as X^T,
+    transformed along its contiguous last axis, (..., K, P)."""
+    return np.fft.fft(np.swapaxes(X, -2, -1), n=P, axis=-1)
+
+
+def _adjoints(A, B, n):
+    """G*(A B^H) and W*(A A^H) of one pair of n x K factors, through the
+    solvers' kernel."""
+    P = ops.fft_length(n)
+    FA = kfft(A[None], P)
+    h, hw = ops.adjoints_from_transforms(FA, kfft(B.conj()[None], P), FA, n)
+    return h[0], hw[0]
+
+
+def _assert_fast_paths_match_dense(rng, n, K):
+    # every FFT entry point against its dense oracle: the range finder's
+    # fast_lift_mul, then the solvers' kernels on K-major transforms
+    P = ops.fft_length(n)
     v = randc(rng, 2 * n - 1)
-    A, B = randc(rng, n, 3), randc(rng, n, 3)
-    for kind, apply_, adjoint in (("hankel", ops.g_apply, ops.g_adjoint),
-                                  ("toeplitz", ops.w_apply, ops.w_adjoint)):
-        want = apply_(v) @ A
-        assert np.max(np.abs(ops.fast_lift_mul(kind, v, A) - want)) <= 1e-10 * np.max(np.abs(want))
-        want = adjoint(A @ B.conj().T)
-        got = ops.fast_adjoint_lowrank(kind, A, B)
+    A, B = randc(rng, n, K), randc(rng, n, K)
+    gv, wv = ops.lift_products_from_transforms(v[None], (kfft(A.conj()[None], P),), v[None],
+                                               kfft(A[None], P))
+    h, hw = _adjoints(A, B, n)
+    for got, want in ((ops.fast_lift_mul(v, A), ops.g_apply(v) @ A),
+                      (gv[0].T, ops.g_apply(v) @ A),
+                      (wv[0].T, ops.w_apply(v) @ A),
+                      (h, ops.g_adjoint(A @ B.conj().T)),
+                      (hw, ops.w_adjoint(A @ A.conj().T))):
+        assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("kind,apply_", [("hankel", ops.g_apply), ("toeplitz", ops.w_apply)])
-@pytest.mark.parametrize("n,K", [(3, 1), (16, 4), (33, 2)])
-def test_fast_lift_mul_matches_dense(kind, apply_, n, K):
-    rng = np.random.default_rng(n * 100 + K)
-    N = 2 * n - 1
-    v = randc(rng, N)
-    Z = randc(rng, n, K)
-    got = ops.fast_lift_mul(kind, v, Z)
-    want = apply_(v) @ Z
-    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+@pytest.mark.parametrize("n,K", [(3, 1), (4, 1), (16, 4), (33, 2), (64, 4), (256, 4)])
+def test_fast_paths_match_dense(n, K):
+    _assert_fast_paths_match_dense(np.random.default_rng(n * 100 + K), n, K)
 
 
-@pytest.mark.parametrize("kind,apply_", [("hankel", ops.g_apply), ("toeplitz", ops.w_apply)])
-def test_fast_lift_mul_identity_factor(kind, apply_):
+@pytest.mark.parametrize("n", [3, 6, 14])  # P = 2n - 1 = 5, 11, 27: odd, and no room to spare
+def test_fast_paths_match_dense_at_odd_lengths(n):
+    assert ops.fft_length(n) == 2 * n - 1
+    _assert_fast_paths_match_dense(np.random.default_rng(n), n, 3)
+
+
+def test_fast_lift_mul_identity_factor():
     rng = np.random.default_rng(2)
     n = 6
     v = randc(rng, 2 * n - 1)
-    got = ops.fast_lift_mul(kind, v, np.eye(n, dtype=complex))
-    assert_allclose(got, apply_(v), atol=1e-12)
-
-
-@pytest.mark.parametrize("kind,adjoint", [("hankel", ops.g_adjoint), ("toeplitz", ops.w_adjoint)])
-@pytest.mark.parametrize("n,K", [(4, 1), (16, 4), (64, 4), (256, 4)])
-def test_fast_adjoint_lowrank_matches_dense(kind, adjoint, n, K):
-    rng = np.random.default_rng(n + K)
-    A = randc(rng, n, K)
-    B = randc(rng, n, K)
-    got = ops.fast_adjoint_lowrank(kind, A, B)
-    want = adjoint(A @ B.conj().T)
-    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+    got = ops.fast_lift_mul(v, np.eye(n, dtype=complex))
+    assert_allclose(got, ops.g_apply(v), atol=1e-12)
 
 
 def test_fast_adjoint_unit_rank_example():
     n = 5
     e1 = np.zeros((n, 1), dtype=complex)
     e1[0] = 1.0
-    out = ops.fast_adjoint_lowrank("hankel", e1, e1)
     want = np.zeros(2 * n - 1)
-    want[0] = 1.0  # omega_1 = 1
-    assert_allclose(out, want, atol=1e-12)
+    want[0] = 1.0  # omega_1 = 1: the one skew-diagonal of e1 e1^H is the first
+    h, hw = _adjoints(e1, e1, n)
+    assert_allclose(h, want, atol=1e-12)
+    want = np.zeros(2 * n - 1)
+    want[n - 1] = 1.0 / np.sqrt(n)  # omega_n = sqrt(n): e1 e1^H lies on the main diagonal
+    assert_allclose(hw, want, atol=1e-12)
 
 
 def test_fast_paths_zero_input():
     n, K = 8, 3
     Z = np.zeros((n, K), dtype=complex)
     v = np.zeros(2 * n - 1, dtype=complex)
-    assert not ops.fast_lift_mul("hankel", v, Z).any()
-    assert not ops.fast_adjoint_lowrank("toeplitz", Z, Z).any()
+    assert not ops.fast_lift_mul(v, Z).any()
+    assert not any(a.any() for a in _adjoints(Z, Z, n))
 
 
 def test_fast_paths_batched():
@@ -221,21 +229,9 @@ def test_fast_paths_batched():
     L, n, K = 3, 9, 2
     v = randc(rng, L, 2 * n - 1)
     Z = randc(rng, L, n, K)
-    A = randc(rng, L, n, K)
-    B = randc(rng, L, n, K)
-    for kind in ("hankel", "toeplitz"):
-        got = ops.fast_lift_mul(kind, v, Z)
-        for l in range(L):
-            assert_allclose(got[l], ops.fast_lift_mul(kind, v[l], Z[l]), atol=1e-12)
-        got = ops.fast_adjoint_lowrank(kind, A, B)
-        for l in range(L):
-            assert_allclose(got[l], ops.fast_adjoint_lowrank(kind, A[l], B[l]), atol=1e-12)
-
-
-def kfft(X, P):
-    """The K-major row transforms the kernels read: X (..., n, K) as X^T,
-    transformed along its contiguous last axis, (..., K, P)."""
-    return np.fft.fft(np.swapaxes(X, -2, -1), n=P, axis=-1)
+    got = ops.fast_lift_mul(v, Z)
+    for l in range(L):
+        assert_allclose(got[l], ops.fast_lift_mul(v[l], Z[l]), atol=1e-12)
 
 
 @pytest.mark.parametrize("n,K", [(1, 1), (4, 2), (17, 3), (64, 4)])
@@ -321,11 +317,7 @@ def test_every_fft_of_the_package_is_made_in_operators():
 
 def test_fast_paths_reject_bad_shapes():
     with pytest.raises(ValueError):
-        ops.fast_lift_mul("hankel", np.zeros(6), np.zeros((4, 2)))
-    with pytest.raises(ValueError):
-        ops.fast_adjoint_lowrank("hankel", np.zeros((4, 2)), np.zeros((4, 3)))
-    with pytest.raises(ValueError):
-        ops.fast_lift_mul("spiral", np.zeros(7), np.zeros((4, 2)))
+        ops.fast_lift_mul(np.zeros(6), np.zeros((4, 2)))
 
 
 # ---------- properties ----------
@@ -334,16 +326,20 @@ def test_fast_paths_reject_bad_shapes():
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), kind=st.sampled_from(["hankel", "toeplitz"]))
 def test_fast_adjoint_consistent_with_inner_product(seed, n, kind):
-    # <(lift v) Z, A B^H-free probe> consistency: vdot(lift* (A B^H), v) == vdot(A B^H, lift v)
+    # vdot(lift* M, v) == vdot(M, lift v) for M = A B^H (Hankel) resp. A A^H
+    # (Toeplitz), the adjoint taken by the solvers' kernel without forming M
     rng = np.random.default_rng(seed)
     K = int(rng.integers(1, 4))
     N = 2 * n - 1
     v = randc(rng, N)
     A = randc(rng, n, K)
     B = randc(rng, n, K)
-    M = A @ B.conj().T
-    lift = ops.g_apply if kind == "hankel" else ops.w_apply
-    lhs = np.vdot(ops.fast_adjoint_lowrank(kind, A, B), v)
+    h, hw = _adjoints(A, B, n)
+    if kind == "hankel":
+        adj, M, lift = h, A @ B.conj().T, ops.g_apply
+    else:
+        adj, M, lift = hw, A @ A.conj().T, ops.w_apply
+    lhs = np.vdot(adj, v)
     rhs = np.vdot(M, lift(v))
     scale = max(1.0, abs(rhs))
     assert abs(lhs - rhs) <= 1e-9 * scale

@@ -139,6 +139,9 @@ def test_k_out_of_range():
         esprit(x, K=0)
     with pytest.raises(ValueError):
         esprit(x, K=5)  # n = 5 needs K < 5
+    for K in (2.5, True, "1"):  # a bool is no model order
+        with pytest.raises(ValueError, match="K must be an integer"):
+            esprit(x, K=K)
 
 
 def test_wrap_distance_crosses_zero():

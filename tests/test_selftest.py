@@ -61,3 +61,14 @@ def test_corrupted_lift_products_fail_the_fast_path_check(monkeypatch):
     monkeypatch.setattr(ops, "lift_products_from_transforms", corrupted)
     fast = [r for r in run_selftest() if "fast paths" in r.name]
     assert len(fast) == 1 and not fast[0].passed
+
+
+def test_corrupted_range_finder_product_fails_the_fast_path_check(monkeypatch):
+    real = ops.fast_lift_mul
+
+    def corrupted(v, Z):
+        return np.roll(real(v, Z), 1, axis=-2)  # rows of (G v) Z off by one
+
+    monkeypatch.setattr(ops, "fast_lift_mul", corrupted)
+    fast = [r for r in run_selftest() if "fast paths" in r.name]
+    assert len(fast) == 1 and not fast[0].passed
