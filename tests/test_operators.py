@@ -184,9 +184,35 @@ def _assert_fast_paths_match_dense(rng, n, K):
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("n,K", [(3, 1), (4, 1), (16, 4), (33, 2), (64, 4), (256, 4)])
-def test_fast_paths_match_dense(n, K):
-    _assert_fast_paths_match_dense(np.random.default_rng(n * 100 + K), n, K)
+@pytest.mark.parametrize("kind,apply_", [("hankel", ops.g_apply), ("toeplitz", ops.w_apply)])
+@pytest.mark.parametrize("n,K", [(3, 1), (16, 4), (33, 2)])
+def test_fast_lift_mul_matches_dense(kind, apply_, n, K):
+    # (G v) Z by the range finder's fast_lift_mul and by the solvers' kernel,
+    # (W v) Z by the solvers' kernel
+    rng = np.random.default_rng(n * 100 + K)
+    P = ops.fft_length(n)
+    v = randc(rng, 2 * n - 1)
+    Z = randc(rng, n, K)
+    gv, wv = ops.lift_products_from_transforms(v[None], (kfft(Z.conj()[None], P),), v[None],
+                                               kfft(Z[None], P))
+    got = [ops.fast_lift_mul(v, Z), gv[0].T] if kind == "hankel" else [wv[0].T]
+    want = apply_(v) @ Z
+    for g in got:
+        assert g.shape == want.shape
+        assert np.max(np.abs(g - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kind,adjoint", [("hankel", ops.g_adjoint), ("toeplitz", ops.w_adjoint)])
+@pytest.mark.parametrize("n,K", [(4, 1), (16, 4), (64, 4), (256, 4)])
+def test_fast_adjoint_lowrank_matches_dense(kind, adjoint, n, K):
+    # G*(A B^H) and W*(A A^H), the adjoints the solvers take, by their kernel
+    rng = np.random.default_rng(n + K)
+    A = randc(rng, n, K)
+    B = randc(rng, n, K)
+    h, hw = _adjoints(A, B, n)
+    got, want = (h, adjoint(A @ B.conj().T)) if kind == "hankel" else (hw, adjoint(A @ A.conj().T))
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("n", [3, 6, 14])  # P = 2n - 1 = 5, 11, 27: odd, and no room to spare
