@@ -157,9 +157,8 @@ def _gradient(t: Trial, obs: Observed):
     # the coupling terms; with L = 1 the non-anchor slices are empty and add nothing.
     # sum_q z^q (z^{q,H} z^1) over the non-anchor channels: anchor = [z^{1,H} z^q]_q
     grad[0] -= anchor.conj() @ z[1:].reshape(-1, n)
-    grad[1:] = (gv_zc[1:]
-                + (gram[1:].conj() + gram[1:]).swapaxes(-2, -1) @ z[1:]
-                - anchor.reshape(K, L - 1, K).transpose(1, 2, 0) @ z[0])
+    np.add(gv_zc[1:], (gram[1:].conj() + gram[1:]).swapaxes(-2, -1) @ z[1:], out=grad[1:])
+    grad[1:] -= anchor.reshape(K, L - 1, K).transpose(1, 2, 0) @ z[0]
     grad *= 0.5
     # P_l = conj(z_l^H z_l) + DAMPING tr/K I; a zero factor has a zero Gram and takes P_l = I
     reg = DAMPING / K * gram.trace(axis1=-2, axis2=-1).real

@@ -132,15 +132,16 @@ def write_model_json(path, model: SpectralModel, meta: dict | None = None) -> Pa
 
 def read_model_json(path) -> SpectralModel:
     """Read a model written by ``write_model_json``; a file that holds no valid
-    model raises ``ValueError`` naming ``path``."""
+    model, or an ``is_ca`` that is not a JSON bool, raises ``ValueError``
+    naming ``path``."""
     try:
         payload = json.loads(Path(path).read_text())
-        return SpectralModel(
-            freqs=np.asarray(payload["freqs"], dtype=float),
-            amps=np.asarray(payload["amps"], dtype=float),
-            phases=np.asarray(payload["phases"], dtype=float),
-            is_ca=bool(payload.get("is_ca", False)),
-        )
+        freqs, amps, phases = (np.asarray(payload[k], dtype=float)
+                               for k in ("freqs", "amps", "phases"))
+        is_ca = payload.get("is_ca", False)
+        if not isinstance(is_ca, bool):  # a JSON bool only: "false" is no false
+            raise ValueError(f"is_ca must be true or false, got {is_ca!r}")
+        return SpectralModel(freqs=freqs, amps=amps, phases=phases, is_ca=is_ca)
     except KeyError as exc:
         raise ValueError(f"{path}: missing model field {exc}") from exc
     except (TypeError, ValueError) as exc:

@@ -33,8 +33,10 @@ transforms the caller already holds (every point of a descent, start
 point and line-search trial alike, makes its lifts through
 ``adjoints_from_transforms``).  ``fast_lift_mul`` is the randomized range
 finder's Hankel product (G v) Z in the (..., n, K) layout, a convolution
-with the row-flipped factor, so it conjugates nothing.  Every FFT of the
-package is made by these four.  The dense lifts are the reference
+with the row-flipped factor, so it conjugates nothing; it multiplies by
+the ``vector_transforms`` of v, which a caller making several products
+with one v makes once, and works in buffers the caller may own.  Every
+FFT of the package is made by these five.  The dense lifts are the reference
 implementations used by tests and the self-test command.  ``top_exponent``
 and ``ldexp`` scale by powers of two.
 """
@@ -191,7 +193,7 @@ def w_adjoint(M: np.ndarray) -> np.ndarray:
 # ---------- FFT fast paths ----------
 #
 # One entry point per operation.  ``fast_lift_mul`` accepts leading batch
-# axes (v is (..., N), Z is (..., n, K), batch shapes broadcast exactly).
+# axes (v is (..., N), Z is (..., n, K), batch shapes broadcast).
 # The transform-level kernels read factors K-major: a factor Z (n x K) is
 # held as Z^T, (..., K, n), so its K columns are rows of contiguous memory,
 # every FFT runs along the last axis and every sum over the K columns is
@@ -223,7 +225,14 @@ def conj_transforms(F: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def fast_lift_mul(v: np.ndarray, Z: np.ndarray) -> np.ndarray:
+def vector_transforms(v: np.ndarray, P: int) -> np.ndarray:
+    """FFT of v / omega along the last axis at length ``P``, (..., P): the
+    transform of the lift vector that :func:`fast_lift_mul` multiplies by."""
+    return np.fft.fft(v / weight_vector(v.shape[-1]).omega, n=P, axis=-1)
+
+
+def fast_lift_mul(v: np.ndarray, Z: np.ndarray, Fv: np.ndarray | None = None,
+                  rows: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Product (G v) Z, the randomized range finder's lift product.
 
     ``v`` is (..., 2n - 1) and ``Z`` (..., n, K); the result is (..., n, K),
@@ -231,16 +240,40 @@ def fast_lift_mul(v: np.ndarray, Z: np.ndarray) -> np.ndarray:
     read as a convolution like (W v) Z: row j, sum_k u[j + k] Z[k, :], is
     sum_k u[n - 1 + j - k] Zf[k, :] for the row-flipped factor
     Zf[k] = Z[n - 1 - k], so no array is conjugated.
+
+    Z is written K-major, row-flipped and zero-padded into ``rows``, (..., K,
+    P) with Z's batch shape and P = ``fft_length(n)``, and transformed there;
+    the product is made in ``out``, of the broadcast (..., K, P) shape, and
+    inverted there, and the result is a view of ``out``.  A caller making
+    several products passes ``Fv``, the :func:`vector_transforms` of v at
+    length P, and its own buffers, and ``out`` may be ``rows`` when the
+    shapes agree; each one not given is made here, ``out`` being ``rows``
+    when they agree.
     """
     v, Z = np.asarray(v), np.asarray(Z)
     n = Z.shape[-2]
     if v.shape[-1] != 2 * n - 1:
         raise ValueError(f"vector length {v.shape[-1]} does not match factor rows {n}")
-    # Z K-major and contiguous: numpy lays an FFT's output out like its
-    # input, so the transforms are contiguous too
-    FZ = row_transforms(np.ascontiguousarray(Z.swapaxes(-2, -1))[..., ::-1])
-    prod = np.fft.fft(v / weight_vector(v.shape[-1]).omega, n=FZ.shape[-1], axis=-1)[..., None, :] * FZ
-    return np.fft.ifft(prod, axis=-1, out=prod)[..., n - 1:2 * n - 1].swapaxes(-2, -1)
+    P = fft_length(n)
+    if Fv is None:
+        Fv = vector_transforms(v, P)
+    if rows is None:
+        rows = np.empty(Z.shape[:-2] + (Z.shape[-1], P), dtype=complex)
+    rows[..., :n] = Z.swapaxes(-2, -1)[..., ::-1]
+    rows[..., n:] = 0.0
+    np.fft.fft(rows, axis=-1, out=rows)
+    shape = np.broadcast_shapes(Fv.shape[:-1] + (1, P), rows.shape)
+    if out is None:
+        out = rows if rows.shape == shape else np.empty(shape, dtype=complex)
+    # Fv first: the operand order sets the bits.  numpy rounds a product of
+    # one element differently when it is written over an operand, so that
+    # one is made apart and copied
+    if out.size == 1:
+        out[...] = Fv[..., None, :] * rows
+    else:
+        np.multiply(Fv[..., None, :], rows, out=out)
+    np.fft.ifft(out, axis=-1, out=out)
+    return out[..., n - 1:2 * n - 1].swapaxes(-2, -1)
 
 
 def _ksum(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -218,6 +218,21 @@ def test_solve_malformed_mask_or_model_is_io_error(tmp_path, capsys, kind, conte
     assert not (tmp_path / "sol").exists()  # rejected before the solve wrote anything
 
 
+def test_solve_model_with_a_string_is_ca_is_io_error(tmp_path, capsys):
+    # "is_ca": "false" is no JSON bool; read with bool() it loaded as true
+    out = synth_dir(tmp_path)
+    model = json.loads((out / "model.json").read_text())
+    model["is_ca"] = "false"
+    bad = tmp_path / "bad-model.json"
+    bad.write_text(json.dumps(model))
+    code = run_cli("solve", "--observed", out / "observed.csv", "--mask", out / "mask.json",
+                   "-K", 2, "--freqs", "--model", bad, "--out", tmp_path / "sol")
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(bad) in err and "is_ca" in err
+    assert not (tmp_path / "sol").exists()
+
+
 def test_solve_has_no_step_size_flags(tmp_path):
     out = synth_dir(tmp_path)
     with pytest.raises(SystemExit) as exc:

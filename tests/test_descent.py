@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -723,3 +724,59 @@ def test_rel_change_is_the_norm_quotient_bit_for_bit():
         for x_new, x_old in cases:
             got, want = _rel_change(x_new, x_old), reference(x_new, x_old)
             assert np.array_equal(np.float64(got), np.float64(want), equal_nan=True)
+
+
+def test_descent_working_set_at_the_ca_wide_shape():
+    # chtgd at N=255 L=32 K=6 M=160: a state is 0.4 MB and its transforms
+    # 0.8 MB.  The last line and a rejected trial are freed before the next
+    # is made, so a few iterations peak at 5.1 MB of numpy arrays (6.1 MB
+    # when both were kept); tracemalloc's peak repeats exactly
+    dims = ProblemDims(N=255, L=32, K=6, M=160)
+    sig = synthesize(random_model(dims, min_sep=1.5 / 255, is_ca=True, seed=3), dims)
+    mask = sample_mask(dims, seed=3)
+    obs = weigh_observations(apply_mask(sig, mask), mask)
+    start = start_point(chtgd.spectral_init_ca(obs.yT.T, mask, dims, seed=1).stacked(), obs,
+                        chtgd._transforms, chtgd._kernel_args)
+    tracemalloc.start()
+    try:
+        out = run_descent(start, lambda t: chtgd._objective_stacked(t, obs),
+                          lambda t: gradient_line(t, obs, chtgd._transforms, chtgd._kernel_args,
+                                                  chtgd._gradient),
+                          SolverConfig(max_iter=5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.iterations == 5
+    assert peak < 5.6e6
+
+
+def test_first_search_starts_near_the_polyak_step():
+    # mhtgd's first line runs along G from the init, where a search from STEP0
+    # tries 9-10 steps on this cell.  It starts at the smallest power of two
+    # at or above 4 f / slope instead, on the same grid of halvings, and
+    # accepts the same step after at most 4 evaluations
+    dims = ProblemDims(N=65, L=5, K=4, M=35)
+    for seed in range(3):
+        sig = synthesize(random_model(dims, min_sep=1.5 / 65, seed=seed), dims)
+        mask = sample_mask(dims, seed=seed + 100)
+        obs = weigh_observations(apply_mask(sig, mask), mask)
+        start = start_point(mhtgd.spectral_init(obs.yT.T, mask, dims, seed=seed).stacked(), obs,
+                            mhtgd._transforms, mhtgd._kernel_args)
+        evals = []
+
+        def objective(t):
+            evals.append(t)
+            return mhtgd._objective_stacked(t, obs)
+
+        def grad_and_signal(t):
+            return gradient_line(t, obs, mhtgd._transforms, mhtgd._kernel_args, mhtgd._gradient)
+
+        f0 = objective(start)
+        line, _ = grad_and_signal(start)
+        del evals[:]
+        from_step0 = armijo_step(start, line, f0, objective, eta_prev=0.5)
+        assert from_step0.accepted and len(evals) >= 9
+        del evals[:]
+        out = run_descent(start, objective, grad_and_signal, SolverConfig(max_iter=1))
+        assert 1 + 1 <= len(evals) <= 1 + 4  # the start's value, then the first search
+        assert out.objective_trace[1] == from_step0.value

@@ -116,6 +116,16 @@ def test_model_json_zero_frequency_single_tone(tmp_path):
     assert back.freqs[0] == 0.0 and back.K == 1 and back.L == 2
 
 
+@pytest.mark.parametrize("flag", ["false", 0, 1, None])
+def test_model_json_is_ca_must_be_a_json_bool(tmp_path, flag):
+    # bool("false") is True: a string flag must not load as a constant-amplitude model
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps({"freqs": [0.1], "amps": [[1.0]], "phases": [[0.0]], "is_ca": flag}))
+    with pytest.raises(ValueError, match="is_ca") as exc:
+        hio.read_model_json(p)
+    assert str(p) in str(exc.value)
+
+
 def test_model_json_missing_field(tmp_path):
     p = tmp_path / "m.json"
     p.write_text(json.dumps({"freqs": [0.1], "amps": [[1.0]]}))

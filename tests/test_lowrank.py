@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,6 +155,24 @@ def test_randomized_path_stacks_channels():
     assert U.shape == (n, K) and V.shape == (n * L, K)
     np.testing.assert_allclose(s, sd, rtol=1e-9)
     np.testing.assert_allclose((U * s) @ V.conj().T, E, atol=1e-8 * sd[0])
+
+
+def test_randomized_lift_svd_working_set_at_the_ca_wide_init_shape():
+    # the (32, 1, 255) batch of the ca-wide spectral init, K = 6 (r = 14, P = 256):
+    # one reused (32, 1, 14, 256) product buffer, 1.8 MB, and every (32, 128, 14)
+    # factor, 0.9 MB, dropped once the next is made from it.  tracemalloc
+    # counts numpy's arrays, and its peak repeats exactly: 5.2 MB here, 7.8 MB
+    # with a new product array per call and each factor kept to the next QR
+    rng = make_rng(0)
+    v = rng.standard_normal((32, 1, 255)) + 1j * rng.standard_normal((32, 1, 255))
+    randomized_lift_svd(v, 6, 0)  # the cached weights and FFT lengths
+    tracemalloc.start()
+    try:
+        randomized_lift_svd(v, 6, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.5e6
 
 
 def test_takagi_real_diagonal():

@@ -260,6 +260,29 @@ def test_fast_paths_batched():
         assert_allclose(got[l], ops.fast_lift_mul(v[l], Z[l]), atol=1e-12)
 
 
+def test_fast_lift_mul_in_caller_buffers_is_the_same_product():
+    # the range finder passes v's transform once and reuses its own buffers:
+    # the products are bit for bit those of the plain call, and stale buffer
+    # contents do not leak into them
+    rng = np.random.default_rng(4)
+    L, n, K = 3, 9, 2
+    P = ops.fft_length(n)
+    v = randc(rng, L, 2 * n - 1)
+    Fv = ops.vector_transforms(v, P)
+    out = np.full((L, K, P), np.nan, dtype=complex)
+    rows = np.full((1, K, P), np.nan, dtype=complex)
+    for Z, into in ((randc(rng, L, n, K), out), (randc(rng, 1, n, K), rows),
+                    (randc(rng, L, n, K), out)):
+        got = ops.fast_lift_mul(v, Z, Fv, into, out)
+        assert np.shares_memory(got, out)
+        np.testing.assert_array_equal(got, ops.fast_lift_mul(v, Z))
+    # n = 1: every transform is the identity and the product is the one
+    # element v Z, which numpy rounds differently when written over Z
+    for _ in range(20):
+        v, Z = randc(rng, 1), randc(rng, 1, 1)
+        np.testing.assert_array_equal(ops.fast_lift_mul(v, Z), v[None, :] * Z)
+
+
 @pytest.mark.parametrize("n,K", [(1, 1), (4, 2), (17, 3), (64, 4)])
 @pytest.mark.parametrize("pattern", ["mhtgd", "chtgd"])
 def test_adjoints_from_transforms_matches_dense(pattern, n, K):
