@@ -99,11 +99,6 @@ class FactorSetC:
 DAMPING = 1e-3  # of the Gram scaling, relative to the mean eigenvalue tr/K
 
 
-def _transforms(z):
-    """The row transforms of every channel's factor, (L, K, P)."""
-    return ops.row_transforms(z)
-
-
 def _kernel_args(FZ):
     """(A, conj B, C) of the operators kernels: A = conj B = z_l gives
     z_l z_l^T per channel, C = z_1 gives z_1 z_1^H."""
@@ -171,14 +166,14 @@ def objective_g(factors: FactorSetC, y: np.ndarray, mask: SamplingMask,
                 dims: ProblemDims) -> float:
     """Objective value; ``y`` is the weighted signal, (full_N, L)."""
     obs = prepare_observed(y, mask, dims)
-    return _objective_stacked(start_point(factors.stacked(), obs, _transforms, _kernel_args), obs)
+    return _objective_stacked(start_point(factors.stacked(), obs, _kernel_args), obs)
 
 
 def grad_g(factors: FactorSetC, y: np.ndarray, mask: SamplingMask,
            dims: ProblemDims) -> FactorSetC:
     """Conjugate Wirtinger gradient of :func:`objective_g` at ``factors``."""
     obs = prepare_observed(y, mask, dims)
-    t = start_point(factors.stacked(), obs, _transforms, _kernel_args)
+    t = start_point(factors.stacked(), obs, _kernel_args)
     return FactorSetC.from_stacked(_gradient(t, obs)[0])
 
 
@@ -211,9 +206,8 @@ def solve_chtgd(observations: MultichannelSignal, mask: SamplingMask,
     # factors nor their K-major copy outlive the first step
     out = run_descent(start_point(spectral_init_ca(obs.yT.T, mask, observations.dims,
                                                    seed=cfg.seed).stacked(),
-                                  obs, _transforms, _kernel_args),
+                                  obs, _kernel_args),
                       lambda state: _objective_stacked(state, obs),
-                      lambda state: gradient_line(state, obs, _transforms, _kernel_args,
-                                                  _gradient),
+                      lambda state: gradient_line(state, obs, _kernel_args, _gradient),
                       cfg)
     return solver_report(out, obs.e, observations.dims, ground_truth)

@@ -133,19 +133,15 @@ def cmd_synth(args) -> int:
 
 def cmd_solve(args) -> int:
     if args.model is not None and not args.freqs:  # before anything is read or written
-        print("error: --model is only read with --freqs", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--model is only read with --freqs")
     data = _read_input(hio.read_signal_csv, args.observed)
     mask = _read_input(hio.read_mask_json, args.mask)
     N, L = data.shape
     if mask.N != N:
-        print(f"error: mask covers N={mask.N} but observed signal has N={N}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"mask covers N={mask.N} but observed signal has N={N}")
     dims = ProblemDims(N=N, L=L, K=args.K, M=mask.M)
     if args.freqs and args.K >= (N + 1) // 2:  # ESPRIT's n on the odd prefix
-        print(f"error: --freqs needs K < {(N + 1) // 2} at N={N}, got K={args.K}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--freqs needs K < {(N + 1) // 2} at N={N}, got K={args.K}")
     observations = MultichannelSignal(data=data, dims=dims)
     truth = None
     if args.ground_truth is not None:

@@ -8,31 +8,36 @@ an Armijo search: accept the first eta with
 
     f(Z - eta * D) <= f(Z) - DECREASE * eta * slope   and   f(Z - eta * D) < f(Z),
 
-shrinking eta by ``SHRINK`` up to ``MAX_BACKTRACKS`` times.  A
-:class:`Line` may carry its own first trial: a quasi-Newton direction is
-already scaled to the curvature, so mhtgd's L-BFGS lines start at eta = 1
-(:mod:`htgd.mhtgd`).  A line without one starts as follows.  The first
-search starts at the smallest power of two at or above 4 f / slope, 8
-times the Polyak step f / (2 slope), and at most ``STEP0``.  It is on the
-grid of halvings from ``STEP0``, and the search accepts the first trial
-that passes, so it accepts the step a search from ``STEP0`` would whenever
-that step is at or below the start: along mhtgd's first line, plain G
-from the init, a search from ``STEP0`` tried 9-14 steps and accepted
-2**-8 to 2**-13, and this start takes 3-4 of them.  Every later search
-starts at the two-point (Barzilai-Borwein, BB2) step of the last accepted
-step eta_prev and the last two directions, with d = D_prev - D,
+shrinking eta by ``SHRINK`` up to ``MAX_BACKTRACKS`` times.
+:func:`armijo_step` picks the first trial of every search, by one rule:
 
-    eta0 = min(max(eta_prev * Re<D_prev, d> / ||d||^2, SHRINK**2 * eta_prev),
-               STEP_CAP),         STEP_CAP = STEP0 * GROWTH**8,
+* the :class:`Line`'s own ``first`` when it carries one: a quasi-Newton
+  direction is already scaled to the curvature, so mhtgd's L-BFGS lines
+  start at eta = 1 (:mod:`htgd.mhtgd`);
+* otherwise, in a descent's first search, the smallest power of two at or
+  above 4 f / slope, 8 times the Polyak step f / (2 slope), and at most
+  ``STEP0`` (``STEP0`` when that quotient is not finite and positive).  It
+  is on the grid of halvings from ``STEP0``, and the search accepts the
+  first trial that passes, so it accepts the step a search from ``STEP0``
+  would whenever that step is at or below the start: along mhtgd's first
+  line, plain G from the init, a search from ``STEP0`` tried 9-14 steps
+  and accepted 2**-8 to 2**-13, and this start takes 3-4 of them;
+* otherwise the two-point (Barzilai-Borwein, BB2) step of the last
+  accepted step eta_prev and the last two directions, with
+  d = D_prev - D,
 
-and falls back to min(GROWTH * eta_prev, STEP_CAP) when that
-quotient has no finite positive numerator and denominator.  BB2 follows
-the local curvature, so most first trials are accepted: a search takes
-about 1.3-1.5 objective evaluations per iteration, against about 2 for
-the growth rule alone.  The floor keeps the first trial within two
-backtracks of eta_prev.  Without it, where the curvature along the last
-step is nearly indefinite, small BB2 quotients alternating with growth
-fallbacks shrank the step geometrically to about 1e-7 while the
+      eta0 = min(max(eta_prev * Re<D_prev, d> / ||d||^2, SHRINK**2 * eta_prev),
+                 STEP_CAP),         STEP_CAP = STEP0 * GROWTH**8,
+
+  falling back to min(GROWTH * eta_prev, STEP_CAP) when that quotient has
+  no finite positive numerator and denominator.
+
+BB2 follows the local curvature, so most first trials are accepted: a
+search takes about 1.3-1.5 objective evaluations per iteration, against
+about 2 for the growth rule alone.  The floor keeps the first trial within
+two backtracks of eta_prev.  Without it, where the curvature along the
+last step is nearly indefinite, small BB2 quotients alternating with
+growth fallbacks shrank the step geometrically to about 1e-7 while the
 gradient stayed large, and the relative-change rule then stopped the
 descent as converged far from a minimiser (4 of 2,800 trials at N=65,
 L=5, K=4, M=35; none with the floor).  A single step size is shared by all channels; the
@@ -46,19 +51,24 @@ Stopping: relative change of the reconstructed signal between accepted
 iterates falls below ``tol``, or ``max_iter`` accepted steps.  A search
 that fails where every trial that changed the objective raised it has met
 the objective's rounding floor and also stops as converged.  Other
-exhausted backtracking and non-finite iterates are reported through
-``SolverReport.stop_reason`` rather than raised; non-finite observed
-samples are rejected up front by :func:`prepare_observed` with
-``NumericalError``.
+exhausted backtracking, a non-finite start value and a line whose slope
+is not finite are reported through ``SolverReport.stop_reason`` rather
+than raised; non-finite observed samples are rejected up front by
+:func:`prepare_observed` with ``NumericalError``.
 
-A solver is its factorisation, objective, gradient with its direction, and
-factor transforms; around them it calls :func:`weigh_observations`,
-:func:`start_point`, :func:`run_descent`, :func:`gradient_line` and
-:func:`solver_report` from here.  :func:`start_point` transforms the start
-state once into a Trial with its lifts.  The gradient call reads them and
-hands :func:`run_descent` the line, whose trials make their own lifts,
-and the signal x = h / omega that the state reconstructs, which the
-stopping rule reads.  :func:`run_descent` returns a :class:`SolverReport`
+A solver supplies its kernel operands, its objective, and its gradient
+with its direction: ``kernel_args(F)`` maps a point's row transforms F
+(``operators.row_transforms`` of its state) to the (A, conj B, C) that
+``operators.adjoints_from_transforms`` lifts, the objective reads a
+:class:`Trial`, and the gradient returns (G, D, first).  Around them it
+calls :func:`weigh_observations`, :func:`start_point`, :func:`run_descent`,
+:func:`gradient_line` and :func:`solver_report` from here.
+:func:`start_point` and :func:`gradient_line` make every transform of a
+state or direction: the first transforms the start state once into a
+Trial with its lifts.  The gradient call reads them and hands
+:func:`run_descent` the line, whose trials make their own lifts, and the
+signal x = h / omega that the state reconstructs, which the stopping rule
+reads.  :func:`run_descent` returns a :class:`SolverReport`
 at the descent's scale and layout, and :func:`solver_report` maps that
 same record to the user's; a new result field is declared once, on
 :class:`SolverReport`.
@@ -209,11 +219,12 @@ def weigh_observations(observations: MultichannelSignal, mask: SamplingMask) -> 
 class Trial(NamedTuple):
     """A point of the descent, as a solver's objective and gradient take it.
 
-    ``z`` is the state and ``F`` its factor transforms, a solver's
-    ``transforms(z)``; ``h`` and ``hw`` are the solver's lifts there, made
-    from F by ``operators.adjoints_from_transforms``.  A start point
-    (:func:`start_point`) transforms z itself; a line-search trial
-    z - eta * D forms F from its line's transforms (:func:`gradient_line`).
+    ``z`` is the state and ``F`` its row transforms,
+    ``operators.row_transforms(z)``; ``h`` and ``hw`` are the solver's
+    lifts there, made by ``operators.adjoints_from_transforms`` from the
+    solver's ``kernel_args(F)``.  A start point (:func:`start_point`)
+    transforms z itself; a line-search trial z - eta * D forms F from its
+    line's transforms (:func:`gradient_line`).
     ``carry`` starts empty; a solver's objective leaves in it what its
     gradient reads again at the same point (the Grams and the masked
     residual), and the gradient takes them out, so they are freed before
@@ -234,11 +245,10 @@ def _point(z: np.ndarray, F: np.ndarray, obs: Observed, kernel_args: Callable) -
     return Trial(z, h, hw, F, {})
 
 
-def start_point(z: np.ndarray, obs: Observed, transforms: Callable,
-                kernel_args: Callable) -> Trial:
-    """The Trial at the state array ``z``: its transforms F, made here, and the
-    lifts (h, hw) from them."""
-    return _point(z, transforms(z), obs, kernel_args)
+def start_point(z: np.ndarray, obs: Observed, kernel_args: Callable) -> Trial:
+    """The Trial at the state array ``z``: its row transforms F, made here, and
+    the lifts (h, hw) from the solver's ``kernel_args(F)``."""
+    return _point(z, ops.row_transforms(z), obs, kernel_args)
 
 
 class Line(NamedTuple):
@@ -251,7 +261,7 @@ class Line(NamedTuple):
     with Trial points that make their lifts from the line's transforms, so
     a trial costs one inverse FFT and no forward FFT.
     ``first`` is the line's first trial step; ``None`` leaves it to
-    :func:`armijo_step`'s BB2 rule.
+    :func:`armijo_step`.
     """
 
     direction: np.ndarray
@@ -260,24 +270,25 @@ class Line(NamedTuple):
     first: Optional[float] = None
 
 
-def gradient_line(state: Trial, obs: Observed, transforms: Callable, kernel_args: Callable,
+def gradient_line(state: Trial, obs: Observed, kernel_args: Callable,
                   gradient: Callable) -> tuple:
-    """(Line, x) at the Trial ``state``, from a solver's ``transforms(z)``,
-    ``kernel_args(F)`` and ``gradient(t, obs)``, which returns (G, D,
-    first): the gradient at the Trial t, read from its transforms ``t.F``
-    and lifts, the direction to descend along and the Line's first trial
-    step (None for :func:`armijo_step`'s BB2 rule); x = h / omega is the
-    signal the state reconstructs, (L, full_N).
+    """(Line, x) at the Trial ``state``, from a solver's ``kernel_args(F)``
+    and ``gradient(t, obs)``, which returns (G, D, first): the gradient at
+    the Trial t, read from its transforms ``t.F`` and lifts, the direction
+    to descend along and the Line's first trial step (None leaves it to
+    :func:`armijo_step`); x = h / omega is the signal the state
+    reconstructs, (L, full_N).
 
-    FD, of the direction, is the one transform made here.  The trial at eta
-    forms its transforms F - eta FD and makes its lifts from them, so the
-    accepted trial hands both to the next call unchanged.
+    FD, the row transforms of the direction, is the one transform made
+    here.  The trial at eta forms its transforms F - eta FD and makes its
+    lifts from them, so the accepted trial hands both to the next call
+    unchanged.
     """
     z, F = state.z, state.F
     grad, direction, first = gradient(state, obs)
     slope = float(np.vdot(grad, direction).real)
     del grad  # freed before the direction is transformed
-    FD = transforms(direction)
+    FD = ops.row_transforms(direction)
 
     def at(eta: float) -> Trial:
         # one buffer, and FD is not scaled in place: every trial of the line shares it
@@ -296,31 +307,28 @@ class ArmijoResult(NamedTuple):
     minimal: bool = False  # a failed search whose trials rose above f_curr and never fell
 
 
-def _first_trial(direction: np.ndarray, d_prev: Optional[np.ndarray], eta_prev: float) -> float:
-    """BB2 from ``eta_prev`` and the directions ``d_prev`` -> ``direction``, at
-    least SHRINK**2 * eta_prev and at most STEP_CAP; GROWTH * eta_prev,
-    capped, when there is no ``d_prev`` or the quotient has no finite
-    positive numerator and denominator."""
+def _first_trial(line: Line, f_curr: float, eta_prev: float,
+                 d_prev: Optional[np.ndarray]) -> float:
+    """The first step of a search along ``line`` from f_curr, by the rule of
+    the module docstring: ``line.first``; without it and without ``d_prev``,
+    the first-search step from 4 f_curr / slope; otherwise BB2 from
+    ``eta_prev`` and the directions ``d_prev`` -> ``line.direction``."""
+    if line.first is not None:
+        return line.first
+    if d_prev is None:
+        q = 4.0 * f_curr / line.slope if line.slope > 0.0 else math.inf
+        if not 0.0 < q < math.inf:
+            return STEP0
+        m, e = math.frexp(q)  # q = m 2**e, m in [1/2, 1)
+        return min(STEP0, math.ldexp(1.0, e - 1 if m == 0.5 else e))
     eta = GROWTH * eta_prev
-    if d_prev is not None:
-        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: growth rule
-            d = d_prev - direction
-            num = float(np.vdot(d_prev, d).real)
-            den = float(np.vdot(d, d).real)
-        if 0.0 < num < np.inf and 0.0 < den < np.inf:
-            eta = max(eta_prev * (num / den), SHRINK**2 * eta_prev)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: growth rule
+        d = d_prev - line.direction
+        num = float(np.vdot(d_prev, d).real)
+        den = float(np.vdot(d, d).real)
+    if 0.0 < num < np.inf and 0.0 < den < np.inf:
+        eta = max(eta_prev * (num / den), SHRINK**2 * eta_prev)
     return min(eta, STEP_CAP)
-
-
-def _first_search_trial(f: float, slope: float) -> float:
-    """The first trial of a descent's first search: the smallest power of two
-    at or above 4 f / slope, 8 times the Polyak step f / (2 slope), and at
-    most STEP0; STEP0 when that quotient is not finite and positive."""
-    q = 4.0 * f / slope if slope > 0.0 else math.inf
-    if not 0.0 < q < math.inf:
-        return STEP0
-    m, e = math.frexp(q)  # q = m 2**e, m in [1/2, 1)
-    return min(STEP0, math.ldexp(1.0, e - 1 if m == 0.5 else e))
 
 
 def armijo_step(state, line: Line, f_curr: float,
@@ -335,18 +343,16 @@ def armijo_step(state, line: Line, f_curr: float,
 
     is accepted; the strict decrease keeps a flat objective, where the first
     test holds once DECREASE * eta * slope is below half an ulp of f_curr,
-    from passing for progress.  The first trial is ``line.first`` when the
-    line carries one; otherwise it is the floored BB2 step from ``eta_prev``
-    and the previous accepted iterate's direction ``d_prev``, or
-    min(GROWTH * eta_prev, STEP_CAP) without one (see the module
-    docstring); ``run_descent`` passes ``d_prev`` from its second search on.
+    from passing for progress.  The first trial follows the module
+    docstring's rule; ``run_descent`` passes the previous accepted
+    iterate's direction ``d_prev`` from its second search on.
     A zero slope is accepted immediately with ``state`` unchanged.
     ``accepted=False`` means MAX_BACKTRACKS shrinks never met the test; it
     is ``minimal`` when some trial rose above f_curr and none fell below,
     so that f_curr is a minimum along the line to working precision (the
     objective's rounding floor), not a search that found no descent.
     """
-    eta = _first_trial(line.direction, d_prev, eta_prev) if line.first is None else line.first
+    eta = _first_trial(line, f_curr, eta_prev, d_prev)
     if line.slope == 0.0:
         return ArmijoResult(True, eta, state, f_curr)
     rose = fell = False
@@ -392,8 +398,9 @@ def run_descent(state: Trial,
     the states that ``objective`` and the next ``grad_and_signal`` receive;
     the solvers pass :func:`gradient_line`, which returns both.  The start
     point is held only as ``state``, so its transforms are freed once the
-    first step is accepted.  The first line takes its first trial from
-    :func:`_first_search_trial` unless it carries its own.
+    first step is accepted.  Each line goes to :func:`armijo_step` as it
+    comes; a line whose slope is not finite, which a non-finite direction
+    always gives, stops the descent as ``numerical_failure``.
     """
     t_start = time.perf_counter()
     f_curr = objective(state)
@@ -403,15 +410,13 @@ def run_descent(state: Trial,
     if not np.isfinite(f_curr):
         return SolverReport(x_curr, 0, STOP_NUMERICAL, trace, iter_seconds,
                             time.perf_counter() - t_start)
-    if line.first is None:
-        line = line._replace(first=_first_search_trial(f_curr, line.slope))
-    eta_prev = STEP0  # not read: the first line carries its own first trial
+    eta_prev = STEP0  # not read while d_prev is None
     d_prev = None
     stop_reason = STOP_MAX_ITER
     iters = 0
     for _ in range(cfg.max_iter):
         t0 = time.perf_counter()
-        if not np.isfinite(line.direction).all():
+        if not math.isfinite(line.slope):
             stop_reason = STOP_NUMERICAL
             break
         res = armijo_step(state, line, f_curr, objective, eta_prev, d_prev)

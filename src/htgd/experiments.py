@@ -118,10 +118,6 @@ class PhaseGridSpec:
             raise ValueError("every M must lie in [1, N]")
         _check_min_sep(self.min_sep_mult, max(self.k_values), self.N)
 
-    @property
-    def min_sep(self) -> float:
-        return self.min_sep_mult / self.N
-
 
 @dataclass(frozen=True)
 class TimingSpec:

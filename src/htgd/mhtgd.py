@@ -17,8 +17,8 @@ the ``operators`` kernels.  The objective and ``_gradient`` read the
 lifts a ``descent.Trial`` carries and make none, and the gradient reads
 the Grams and masked residual that the objective left in the Trial's
 ``carry``; ``descent.start_point``
-and ``descent.gradient_line`` build the Trials from ``_transforms``,
-``_kernel_args`` and ``_gradient``.  A gradient, and a line-search trial
+and ``descent.gradient_line`` build the Trials from ``_kernel_args`` and
+``_gradient``.  A gradient, and a line-search trial
 with its lifts and objective, each cost O(L K N log N + L^2 K^2 N) (see
 :mod:`htgd.descent`); no n x n matrix is ever formed.
 
@@ -43,7 +43,11 @@ factor column is a contiguous row.  The row FFTs then run along the
 contiguous last axis, the K-sums of the kernels are reductions over axis
 -2, and each block read as (L K, n) is a view, so the Grams are products
 of views.  ``FactorSetM.stacked`` and ``from_stacked`` convert at the
-solver boundary; the public (L, n, K) factors keep their layout.
+solver boundary; the public (L, n, K) factors keep their layout.  A
+Trial's F is the (2, L, K, P) row transforms of the state, one batched FFT
+of its 2L blocks; the lifts and the gradient read those of conj z1 too,
+which ``_kernel_args`` derives from the z1 block by frequency reversal
+with no FFT, so neither a point nor a line carries them.
 """
 
 from __future__ import annotations
@@ -98,23 +102,11 @@ class FactorSetM:
         return FactorSetM(z1=state[0].swapaxes(-2, -1), z2=state[1].swapaxes(-2, -1))
 
 
-def _transforms(state):
-    """[z1, z2, conj z1] transformed along the rows, (3, L, K, P): one batched
-    FFT of the 2L blocks of the state, and the conj z1 block derived from
-    the z1 block by frequency reversal (``operators.conj_transforms``).
-
-    Real-linear in the state, so the transforms of state - eta * G are
-    those of the state minus eta times those of G.
-    """
-    F = np.empty((3,) + state.shape[1:-1] + (ops.fft_length(state.shape[-1]),), dtype=complex)
-    ops.row_transforms(state, out=F[:2])
-    ops.conj_transforms(F[0], out=F[2])
-    return F
-
-
 def _kernel_args(F):
-    """(F2, F1c, F1): the (A, conj B, C) arguments of the operators kernels."""
-    return F[1], F[2], F[0]
+    """(F2, F1c, F1): the (A, conj B, C) arguments of the operators kernels,
+    from the row transforms F of the state; F1c, those of conj z1, is
+    derived from F1 by frequency reversal (``operators.conj_transforms``)."""
+    return F[1], ops.conj_transforms(F[0]), F[0]
 
 
 def _grams(z1, z2):
@@ -302,14 +294,14 @@ def objective_f(factors: FactorSetM, y: np.ndarray, mask: SamplingMask,
                 dims: ProblemDims) -> float:
     """Objective value; ``y`` is the weighted signal, (full_N, L)."""
     obs = prepare_observed(y, mask, dims)
-    return _objective_stacked(start_point(factors.stacked(), obs, _transforms, _kernel_args), obs)
+    return _objective_stacked(start_point(factors.stacked(), obs, _kernel_args), obs)
 
 
 def grad_f(factors: FactorSetM, y: np.ndarray, mask: SamplingMask,
            dims: ProblemDims) -> FactorSetM:
     """Conjugate Wirtinger gradient of :func:`objective_f` at ``factors``."""
     obs = prepare_observed(y, mask, dims)
-    t = start_point(factors.stacked(), obs, _transforms, _kernel_args)
+    t = start_point(factors.stacked(), obs, _kernel_args)
     return FactorSetM.from_stacked(_gradient(t, obs)[0])
 
 
@@ -344,9 +336,8 @@ def solve_mhtgd(observations: MultichannelSignal, mask: SamplingMask,
     # run_descent's Trial alone holds the start state, so neither the init's
     # factors nor their K-major copy outlive the first step
     out = run_descent(start_point(spectral_init(obs.yT.T, mask, dims, seed=cfg.seed).stacked(),
-                                  obs, _transforms, _kernel_args),
+                                  obs, _kernel_args),
                       lambda state: _objective_stacked(state, obs),
-                      lambda state: gradient_line(state, obs, _transforms, _kernel_args,
-                                                  direction),
+                      lambda state: gradient_line(state, obs, _kernel_args, direction),
                       cfg)
     return solver_report(out, obs.e, dims, ground_truth)

@@ -209,17 +209,18 @@ def w_adjoint(M: np.ndarray) -> np.ndarray:
 # negative lags), then the first n.
 
 
-def row_transforms(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def row_transforms(X: np.ndarray) -> np.ndarray:
     """FFT of the K-major factor ``X`` (..., K, n) along its rows, the last
     axis, at length ``fft_length(n)``: the (..., K, P) transforms the kernels
-    read, written into ``out`` when one is given."""
-    return np.fft.fft(X, n=fft_length(X.shape[-1]), axis=-1, out=out)
+    read."""
+    return np.fft.fft(X, n=fft_length(X.shape[-1]), axis=-1)
 
 
-def conj_transforms(F: np.ndarray, out: np.ndarray) -> np.ndarray:
+def conj_transforms(F: np.ndarray) -> np.ndarray:
     """The row transforms of conj(X) from those of X, ``F`` (..., K, P), by
-    frequency reversal, FFT(conj x)[m] = conj(FFT(x)[-m mod P]), written
-    into ``out``: no FFT and no conjugate copy of X."""
+    frequency reversal, FFT(conj x)[m] = conj(FFT(x)[-m mod P]): no FFT and
+    no conjugate copy of X."""
+    out = np.empty_like(F)
     np.conjugate(F[..., :1], out=out[..., :1])
     np.conjugate(F[..., :0:-1], out=out[..., 1:])
     return out
@@ -227,7 +228,8 @@ def conj_transforms(F: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def vector_transforms(v: np.ndarray, P: int) -> np.ndarray:
     """FFT of v / omega along the last axis at length ``P``, (..., P): the
-    transform of the lift vector that :func:`fast_lift_mul` multiplies by."""
+    transform of the lift vector that :func:`fast_lift_mul` and
+    :func:`lift_products_from_transforms` multiply by."""
     return np.fft.fft(v / weight_vector(v.shape[-1]).omega, n=P, axis=-1)
 
 
@@ -292,17 +294,13 @@ def lift_products_from_transforms(v: np.ndarray, FZcs: tuple, u: np.ndarray,
 
     ``FZcs`` holds the :func:`row_transforms` of conj(Z)^T for each Z, each
     (B_h, K, P), and ``FC`` that of C^T, (B_w, K, P); ``v`` is (B_h, 2n - 1)
-    and ``u`` (B_w, 2n - 1).  v / omega and u / omega are divided into one
-    buffer and share one batched FFT; the products are written into one
-    buffer and inverted there by one batched inverse FFT.  Returns the
-    ((G v) Z)^T in the order of ``FZcs``, then ((W u) C)^T, each (B, K, n).
+    and ``u`` (B_w, 2n - 1).  v and u share one batched
+    :func:`vector_transforms`; the products are written into one buffer and
+    inverted there by one batched inverse FFT.  Returns the ((G v) Z)^T in
+    the order of ``FZcs``, then ((W u) C)^T, each (B, K, n).
     """
     B_h, N = v.shape
-    w = weight_vector(N).omega
-    vu = np.empty((B_h + len(u), N), dtype=complex)
-    np.divide(v, w, out=vu[:B_h])
-    np.divide(u, w, out=vu[B_h:])
-    Fvu = np.fft.fft(vu, n=FC.shape[-1], axis=-1)[:, None, :]
+    Fvu = vector_transforms(np.concatenate([v, u]), FC.shape[-1])[:, None, :]
     Fv, Fu = Fvu[:B_h], Fvu[B_h:]
     out = np.empty((len(FZcs) * B_h + len(u),) + FC.shape[1:], dtype=complex)
     hankel = out[:len(FZcs) * B_h].reshape((len(FZcs), B_h) + FC.shape[1:])

@@ -16,6 +16,7 @@ from htgd.descent import (
     STOP_LINE_SEARCH,
     STOP_MAX_ITER,
     STOP_NUMERICAL,
+    STEP0,
     STEP_CAP,
     Line,
     SolverConfig,
@@ -213,7 +214,27 @@ def test_armijo_first_trial_is_bb2():
     g = np.array([1.0 - 2.0j, 0.5j])
     # d = g_prev - g = 2g: Re<g_prev, d> / ||d||^2 = 6 / 4
     assert first_trial(g, 3.0 * g, eta_prev=0.25) == 0.375
-    assert first_trial(g, None, eta_prev=0.25) == 0.5  # no g_prev: the growth rule
+
+
+@pytest.mark.parametrize("f,slope,want", [
+    (1.0, 16.0, 0.25),       # 4 f / slope = 0.25, a power of two
+    (1.0, 10.0, 0.5),        # 0.4 rounds up to 0.5
+    (1.0, 1.0, STEP0),       # 4 is above STEP0
+    (0.0, 1.0, STEP0),       # a zero quotient
+    (np.inf, 1.0, STEP0),    # not finite
+], ids=["power", "rounded", "capped", "zero", "inf"])
+def test_armijo_without_d_prev_or_a_lines_first_trial_starts_at_the_first_search_step(
+        f, slope, want):
+    # the rule of a descent's first search, whatever eta_prev is
+    trials = []
+
+    def objective(eta):
+        trials.append(eta)
+        return np.nan
+
+    line = Line(np.ones(2, dtype=complex), lambda eta: eta, slope)
+    armijo_step(None, line, f, objective, eta_prev=8.0)
+    assert trials[0] == want
 
 
 @pytest.mark.parametrize("grad,g_prev", [
@@ -283,6 +304,16 @@ def test_run_descent_nonfinite_gradient_reported():
 
     out = run_descent(np.ones(2, dtype=complex), lambda z: 1.0, g, SolverConfig())
     assert out.stop_reason == STOP_NUMERICAL
+
+
+def test_run_descent_overflowing_slope_reported():
+    # a finite direction whose slope ||D||^2 overflows: every trial overflows
+    # f too, so without a check on the slope the search would fail as minimal
+    # and report convergence
+    f, _ = quadratic(1.0)
+    out = run_descent(np.ones(2, dtype=complex), f,
+                      lambda z: (line_of(z, np.full(2, 1e200, dtype=complex)), z), SolverConfig())
+    assert out.stop_reason == STOP_NUMERICAL and out.iterations == 0
 
 
 def observed_instance(is_ca):
@@ -369,12 +400,12 @@ def test_solve_recovers_at_any_scale(solver, is_ca, c):
 
 def start(module, z, obs):
     """The Trial at the state array ``z`` with one solver's pieces."""
-    return start_point(z, obs, module._transforms, module._kernel_args)
+    return start_point(z, obs, module._kernel_args)
 
 
 def grad_and_line(module, state, obs):
     """The shared gradient-line builder with one solver's pieces."""
-    return gradient_line(state, obs, module._transforms, module._kernel_args, module._gradient)
+    return gradient_line(state, obs, module._kernel_args, module._gradient)
 
 
 def random_state(module, rng, dims):
@@ -491,8 +522,8 @@ def test_chtgd_solves_with_k_above_the_true_order():
 
 def test_carried_transforms_do_not_drift_over_a_long_descent():
     # a hard instance (M = 6 of 33), 3,000 accepted steps, each gradient line
-    # built from the transforms the previous trial carried; the growth-rule
-    # search (no g_prev) keeps accepting steps that long
+    # built from the transforms the previous trial carried; the first-search
+    # rule (no d_prev) keeps accepting steps that long
     dims = ProblemDims(N=33, L=2, K=3, M=6)
     sig = synthesize(random_model(dims, min_sep=1.5 / 33, seed=0), dims)
     mask = sample_mask(dims, seed=(0, 1))
@@ -510,13 +541,27 @@ def test_carried_transforms_do_not_drift_over_a_long_descent():
         assert res.accepted and isinstance(res.state, Trial)
         state, f_curr, eta = res.state, res.value, res.eta
     carried = state.F
-    fresh = mhtgd._transforms(state.z)
+    fresh = ops.row_transforms(state.z)
     assert np.linalg.norm(carried - fresh) <= 1e-10 * np.linalg.norm(fresh)
     # the lifts the gradients read, made at each trial from the carried
     # transforms, are as close to those of a fresh start point
     lifts = start(mhtgd, state.z, obs)
     for got, want in ((state.h, lifts.h), (state.hw, lifts.hw)):
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("module", [mhtgd, chtgd], ids=["mhtgd", "chtgd"])
+def test_every_trials_transforms_are_the_row_transforms_of_its_state(module):
+    # a start point transforms its state; a line trial forms F - eta FD, equal
+    # up to roundoff, and carries no block a solver derives from them
+    dims, y, mask, obs, z = line_instance(module, 5)
+    state = start(module, z, obs)
+    np.testing.assert_array_equal(state.F, ops.row_transforms(z))
+    line, _ = grad_and_line(module, state, obs)
+    trial = line.at(0.3)
+    want = ops.row_transforms(trial.z)
+    assert trial.F.shape == want.shape
+    assert np.linalg.norm(trial.F - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @SOLVERS
@@ -526,7 +571,7 @@ def test_solve_transforms_its_start_state_once(solver, is_ca, monkeypatch):
     # and every trial forms its own from its line's; each point the objective
     # evaluates, the start point and every trial, makes its lifts once
     module = chtgd if is_ca else mhtgd
-    transforms, seen = module._transforms, []
+    transforms, seen = ops.row_transforms, []
     adjoints, lifted = ops.adjoints_from_transforms, []
     objective, evaluated = module._objective_stacked, []
 
@@ -542,7 +587,7 @@ def test_solve_transforms_its_start_state_once(solver, is_ca, monkeypatch):
         evaluated.append(t.z)
         return objective(t, obs)
 
-    monkeypatch.setattr(module, "_transforms", spy)
+    monkeypatch.setattr(ops, "row_transforms", spy)
     monkeypatch.setattr(ops, "adjoints_from_transforms", lift_spy)
     monkeypatch.setattr(module, "_objective_stacked", objective_spy)
     dims, sig, mask = scale_instance(is_ca)
@@ -736,12 +781,11 @@ def test_descent_working_set_at_the_ca_wide_shape():
     mask = sample_mask(dims, seed=3)
     obs = weigh_observations(apply_mask(sig, mask), mask)
     start = start_point(chtgd.spectral_init_ca(obs.yT.T, mask, dims, seed=1).stacked(), obs,
-                        chtgd._transforms, chtgd._kernel_args)
+                        chtgd._kernel_args)
     tracemalloc.start()
     try:
         out = run_descent(start, lambda t: chtgd._objective_stacked(t, obs),
-                          lambda t: gradient_line(t, obs, chtgd._transforms, chtgd._kernel_args,
-                                                  chtgd._gradient),
+                          lambda t: gradient_line(t, obs, chtgd._kernel_args, chtgd._gradient),
                           SolverConfig(max_iter=5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -761,7 +805,7 @@ def test_first_search_starts_near_the_polyak_step():
         mask = sample_mask(dims, seed=seed + 100)
         obs = weigh_observations(apply_mask(sig, mask), mask)
         start = start_point(mhtgd.spectral_init(obs.yT.T, mask, dims, seed=seed).stacked(), obs,
-                            mhtgd._transforms, mhtgd._kernel_args)
+                            mhtgd._kernel_args)
         evals = []
 
         def objective(t):
@@ -769,12 +813,12 @@ def test_first_search_starts_near_the_polyak_step():
             return mhtgd._objective_stacked(t, obs)
 
         def grad_and_signal(t):
-            return gradient_line(t, obs, mhtgd._transforms, mhtgd._kernel_args, mhtgd._gradient)
+            return gradient_line(t, obs, mhtgd._kernel_args, mhtgd._gradient)
 
         f0 = objective(start)
         line, _ = grad_and_signal(start)
         del evals[:]
-        from_step0 = armijo_step(start, line, f0, objective, eta_prev=0.5)
+        from_step0 = armijo_step(start, line._replace(first=STEP0), f0, objective, eta_prev=0.5)
         assert from_step0.accepted and len(evals) >= 9
         del evals[:]
         out = run_descent(start, objective, grad_and_signal, SolverConfig(max_iter=1))
